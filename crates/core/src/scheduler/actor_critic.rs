@@ -5,8 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dss_rl::{
-    CandidateAction, DdpgAgent, DdpgConfig, Elem, EpsilonSchedule, ScalableMapper, Scalar,
-    Transition,
+    ActScratch, DdpgAgent, DdpgConfig, Elem, EpsilonSchedule, ScalableMapper, Scalar, Transition,
 };
 use dss_sim::Assignment;
 
@@ -33,8 +32,10 @@ const ELITE_SIZE: usize = 12;
 /// reproduction-scale training budgets the vanilla deterministic-policy
 /// actor drifts toward it too slowly on its own; the elite candidates give
 /// the (correctly trained) critic good actions to choose from without
-/// changing what is learned or how. The pure paper behaviour is available
-/// via [`DdpgAgent::select_action`].
+/// changing what is learned or how. Both candidate sources are ranked by
+/// the one critic argmax of [`DdpgAgent::select_action_among`]; the pure
+/// paper behaviour is that call with no extras
+/// ([`DdpgAgent::select_action_into`]).
 pub struct ActorCriticScheduler {
     agent: DdpgAgent,
     mapper: ScalableMapper,
@@ -48,6 +49,9 @@ pub struct ActorCriticScheduler {
     frozen: bool,
     /// `(reward, assignment)` of the best-rewarded actions seen, ascending.
     elite: Vec<(f64, Assignment)>,
+    /// Act-path buffers reused across decisions. Not serialized: nothing
+    /// in it survives from one `schedule` call to the next.
+    act: ActScratch,
 }
 
 impl ActorCriticScheduler {
@@ -89,6 +93,7 @@ impl ActorCriticScheduler {
             rng: StdRng::seed_from_u64(config.seed ^ 0xAC),
             frozen: false,
             elite: Vec::new(),
+            act: ActScratch::default(),
         }
     }
 
@@ -102,17 +107,6 @@ impl ActorCriticScheduler {
         if self.elite.len() > ELITE_SIZE {
             self.elite.remove(0);
         }
-    }
-
-    fn elite_candidates(&self) -> Vec<CandidateAction> {
-        self.elite
-            .iter()
-            .map(|(_, a)| CandidateAction {
-                choice: a.as_slice().to_vec(),
-                onehot: crate::state::onehot_elems(a),
-                cost: Elem::ZERO,
-            })
-            .collect()
     }
 
     /// Switches to greedy, non-learning deployment mode.
@@ -207,7 +201,8 @@ impl Scheduler for ActorCriticScheduler {
     }
 
     /// Algorithm 1 lines 8–11: proto-action from the actor, exploration
-    /// noise, K-NN via MIQP-NN, critic argmax.
+    /// noise, K-NN via MIQP-NN, critic argmax over the K-NN candidates
+    /// and the elite memory.
     fn schedule(&mut self, state: &SchedState) -> Assignment {
         let features = state.features(self.rate_scale);
         let eps = if self.frozen {
@@ -215,16 +210,19 @@ impl Scheduler for ActorCriticScheduler {
         } else {
             self.eps.value(self.epoch)
         };
-        let elites = self.elite_candidates();
-        let candidate = self.agent.select_action_with_extras(
+        let (best, _) = self.agent.select_action_among(
             &features,
             &mut self.mapper,
             eps,
             &mut self.rng,
-            elites,
+            self.elite.iter().map(|(_, a)| a.as_slice()),
+            &mut self.act,
         );
-        choice_to_assignment(&candidate.choice, self.n_machines)
-            .expect("mapper candidates are feasible")
+        match best.checked_sub(self.act.cands.len()) {
+            Some(elite) => self.elite[elite].1.clone(),
+            None => choice_to_assignment(&self.act.cands[best].choice, self.n_machines)
+                .expect("mapper candidates are feasible"),
+        }
     }
 
     /// Algorithm 1 lines 12–18: store the transition and run one training
@@ -311,6 +309,43 @@ mod tests {
         sched.freeze();
         let st = state();
         assert_eq!(sched.schedule(&st), sched.schedule(&st));
+    }
+
+    /// One control epoch against a stand-in environment whose reward
+    /// prefers threads on machine 0.
+    fn epoch(sched: &mut ActorCriticScheduler, st: &SchedState) -> SchedState {
+        let a = sched.schedule(st);
+        let spread = a.as_slice().iter().filter(|&&m| m != 0).count();
+        let next = SchedState::new(a.clone(), st.workload.clone());
+        sched.observe(st, &a, -0.1 * spread as f64, &next);
+        next
+    }
+
+    #[test]
+    fn restore_mid_training_continues_the_same_assignments() {
+        let config = ControlConfig::test();
+        let mut sched = ActorCriticScheduler::new(4, 2, 1, &config);
+        let mut st = state();
+        for _ in 0..8 {
+            st = epoch(&mut sched, &st);
+        }
+        // The restored scheduler starts with cold act buffers; the
+        // original's are warm from eight decisions. Neither is state.
+        let mut resumed =
+            ActorCriticScheduler::restore_state(4, 2, 1, &config, &sched.save_state()).unwrap();
+        let mut st_resumed = st.clone();
+        for e in 0..8 {
+            st = epoch(&mut sched, &st);
+            st_resumed = epoch(&mut resumed, &st_resumed);
+            assert_eq!(
+                st.assignment, st_resumed.assignment,
+                "epoch {e} after resume"
+            );
+        }
+        sched.freeze();
+        resumed.freeze();
+        assert_eq!(sched.schedule(&st), resumed.schedule(&st_resumed));
+        assert_eq!(sched.save_state(), resumed.save_state());
     }
 
     #[test]

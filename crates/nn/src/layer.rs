@@ -263,6 +263,20 @@ impl<S: Scalar> Dense<S> {
     /// # Panics
     /// Panics when called before [`Dense::forward`].
     pub fn backward(&mut self, grad_output: &Matrix<S>) -> &Matrix<S> {
+        self.backward_parts(grad_output, true, true);
+        &self.scratch.dx
+    }
+
+    /// [`Dense::backward`] by halves: `params` accumulates `dL/dW` and
+    /// `dL/db`, `dx` computes `dL/dx` for [`Dense::input_grad`]. A
+    /// parameter update has no use for the first layer's `dL/dx` (a
+    /// `batch × in` product against the whole weight matrix) and an input
+    /// gradient none for any layer's parameter gradients; what is computed
+    /// is bit for bit what the full pass computes.
+    ///
+    /// # Panics
+    /// Panics when called before [`Dense::forward`].
+    pub(crate) fn backward_parts(&mut self, grad_output: &Matrix<S>, params: bool, dx: bool) {
         assert!(self.scratch.live, "backward before forward");
         let input = &self.scratch.input;
         let output = &self.scratch.output;
@@ -285,17 +299,21 @@ impl<S: Scalar> Dense<S> {
             *d = g * act.derivative_from_output(o);
         }
 
-        // dW += dzᵀ x  (out × in); db += column sums of dz. Both accumulate
-        // straight into the gradient buffers — no temporaries.
-        self.scratch
-            .dz
-            .matmul_transpose_a_acc(input, &mut self.grad_w);
-        self.scratch.dz.add_column_sums_to(&mut self.grad_b);
+        if params {
+            // dW += dzᵀ x  (out × in); db += column sums of dz. Both
+            // accumulate straight into the gradient buffers — no
+            // temporaries.
+            self.scratch
+                .dz
+                .matmul_transpose_a_acc(input, &mut self.grad_w);
+            self.scratch.dz.add_column_sums_to(&mut self.grad_b);
+        }
 
-        // dx = dz W  (batch × in).
-        self.scratch.dz.matmul_into(&self.w, &mut self.scratch.dx);
-        self.scratch.grad_live = true;
-        &self.scratch.dx
+        if dx {
+            // dx = dz W  (batch × in).
+            self.scratch.dz.matmul_into(&self.w, &mut self.scratch.dx);
+        }
+        self.scratch.grad_live = dx;
     }
 
     /// Clears accumulated gradients.

@@ -22,8 +22,6 @@ use crate::scalar::{Elem, Scalar};
 #[derive(Debug, Clone)]
 pub struct Mlp<S: Scalar = Elem> {
     layers: Vec<Dense<S>>,
-    /// Flat parameter-gradient snapshot reused by [`Mlp::input_gradient`].
-    grad_snapshot: Vec<S>,
     /// All-ones seed gradient reused by [`Mlp::input_gradient`].
     ones: Matrix<S>,
 }
@@ -66,7 +64,6 @@ impl<S: Scalar> Mlp<S> {
             .collect();
         Self {
             layers,
-            grad_snapshot: Vec::new(),
             ones: Matrix::zeros(0, 0),
         }
     }
@@ -86,7 +83,6 @@ impl<S: Scalar> Mlp<S> {
         }
         Self {
             layers,
-            grad_snapshot: Vec::new(),
             ones: Matrix::zeros(0, 0),
         }
     }
@@ -161,10 +157,40 @@ impl<S: Scalar> Mlp<S> {
     }
 
     /// Backward pass from `dL/d(output)`; accumulates parameter gradients
-    /// and returns `dL/d(input)` — the quantity the DDPG actor update needs
-    /// when this network is the critic and part of the input is the action.
-    /// Borrowed from the first layer's scratch.
+    /// and returns `dL/d(input)`. Borrowed from the first layer's scratch.
     pub fn backward(&mut self, grad_output: &Matrix<S>) -> &Matrix<S> {
+        self.backward_sweep(grad_output, true, true);
+        self.layers[0].input_grad()
+    }
+
+    /// [`Mlp::backward`] for a parameter update: the same accumulated
+    /// parameter gradients, without the first layer's `dL/d(input)` that
+    /// such a caller throws away.
+    pub fn backward_params(&mut self, grad_output: &Matrix<S>) {
+        self.backward_sweep(grad_output, true, false);
+    }
+
+    /// Gradient of the summed output w.r.t. the input — the quantity the
+    /// DDPG actor update needs when this network is the critic and part
+    /// of the input is the action. An input-only backward: parameter
+    /// gradients are neither read nor written.
+    ///
+    /// For a scalar-output critic this is `∇_x Q(x)` per batch row.
+    pub fn input_gradient(&mut self, x: &Matrix<S>) -> &Matrix<S> {
+        self.forward(x);
+        // Temporarily move the ones-matrix out so the sweep can borrow it;
+        // an empty `Matrix` placeholder does not allocate.
+        let mut ones = std::mem::replace(&mut self.ones, Matrix::zeros(0, 0));
+        ones.resize(x.rows(), self.output_size());
+        ones.data_mut().fill(S::ONE);
+        self.backward_sweep(&ones, false, true);
+        self.ones = ones;
+        self.layers[0].input_grad()
+    }
+
+    /// Last layer to first; every layer above the first always produces
+    /// the `dL/dx` the layer below consumes.
+    fn backward_sweep(&mut self, grad_output: &Matrix<S>, params: bool, first_dx: bool) {
         for i in (0..self.layers.len()).rev() {
             let (head, tail) = self.layers.split_at_mut(i + 1);
             let grad = if tail.is_empty() {
@@ -172,28 +198,8 @@ impl<S: Scalar> Mlp<S> {
             } else {
                 tail[0].input_grad()
             };
-            head[i].backward(grad);
+            head[i].backward_parts(grad, params, i > 0 || first_dx);
         }
-        self.layers[0].input_grad()
-    }
-
-    /// Gradient of the summed output w.r.t. the input, without touching
-    /// accumulated parameter gradients (they are saved and restored through
-    /// a persistent flat snapshot buffer — no allocation once warm).
-    ///
-    /// For a scalar-output critic this is `∇_x Q(x)` per batch row.
-    pub fn input_gradient(&mut self, x: &Matrix<S>) -> &Matrix<S> {
-        self.snapshot_grads();
-        self.forward(x);
-        // Temporarily move the ones-matrix out so `backward(&mut self)` can
-        // borrow it; an empty `Matrix` placeholder does not allocate.
-        let mut ones = std::mem::replace(&mut self.ones, Matrix::zeros(0, 0));
-        ones.resize(x.rows(), self.output_size());
-        ones.data_mut().fill(S::ONE);
-        self.backward(&ones);
-        self.ones = ones;
-        self.restore_grads();
-        self.layers[0].input_grad()
     }
 
     /// Clears all accumulated gradients.
@@ -264,28 +270,6 @@ impl<S: Scalar> Mlp<S> {
             .iter()
             .map(|l| l.input_size() * l.output_size() + l.output_size())
             .sum()
-    }
-
-    fn snapshot_grads(&mut self) {
-        let total = self.param_count();
-        self.grad_snapshot.resize(total, S::ZERO);
-        let mut off = 0;
-        for layer in &mut self.layers {
-            for (_, g) in layer.params_and_grads() {
-                self.grad_snapshot[off..off + g.len()].copy_from_slice(g);
-                off += g.len();
-            }
-        }
-    }
-
-    fn restore_grads(&mut self) {
-        let mut off = 0;
-        for layer in &mut self.layers {
-            for grads in layer.grads_mut() {
-                grads.copy_from_slice(&self.grad_snapshot[off..off + grads.len()]);
-                off += grads.len();
-            }
-        }
     }
 }
 
@@ -401,6 +385,45 @@ mod tests {
         let _ = net.input_gradient(&x);
         let after: Vec<f64> = net.layers[0].params_and_grads()[0].1.to_vec();
         assert_eq!(before, after);
+    }
+
+    fn flat_grads<S: crate::scalar::Scalar>(net: &mut Mlp<S>) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for layer in &mut net.layers {
+            for grads in layer.grads_mut() {
+                bits.extend(grads.iter().map(|g| g.to_f64().to_bits()));
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn partial_backwards_match_the_full_pass_bit_for_bit() {
+        fn case<S: crate::scalar::Scalar>() {
+            // Wide enough that the packed GEMM takes its real kernel path.
+            let acts = [Activation::Tanh, Activation::Tanh, Activation::Identity];
+            let mut full: Mlp<S> = Mlp::new(&[37, 24, 12, 1], &acts, 8);
+            let mut part = full.clone();
+            let wave = |r: usize, c: usize| S::from_f64(((r * 41 + c * 7) as f64 * 0.37).sin());
+            let x: Matrix<S> = Matrix::from_fn(9, 37, wave);
+            let seed: Matrix<S> = Matrix::from_fn(9, 1, wave);
+
+            full.forward(&x);
+            full.backward(&seed);
+            part.forward(&x);
+            part.backward_params(&seed);
+            let want = flat_grads(&mut full);
+            assert_eq!(flat_grads(&mut part), want, "backward_params");
+
+            let mut ones: Matrix<S> = Matrix::zeros(9, 1);
+            ones.data_mut().fill(S::ONE);
+            full.forward(&x);
+            let dx = full.backward(&ones).clone();
+            assert_eq!(part.input_gradient(&x), &dx, "input_gradient");
+            assert_eq!(flat_grads(&mut part), want, "input_gradient wrote grads");
+        }
+        case::<f32>();
+        case::<f64>();
     }
 
     fn grad_norm(net: &mut Mlp<f64>) -> f64 {

@@ -194,13 +194,15 @@ impl<S: Scalar> Optimizer<S> for Adam<S> {
         let eps = S::from_f64(self.eps);
         let bc1 = S::from_f64(1.0 - self.beta1.powi(st.t as i32));
         let bc2 = S::from_f64(1.0 - self.beta2.powi(st.t as i32));
-        for i in 0..params.len() {
-            let g = grads[i];
-            st.m[i] = beta1 * st.m[i] + c1 * g;
-            st.v[i] = beta2 * st.v[i] + c2 * g * g;
-            let m_hat = st.m[i] / bc1;
-            let v_hat = st.v[i] / bc2;
-            params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        // Zipped, not indexed: with no bounds checks in the body the loop
+        // vectorizes (elementwise ops only, so lanes round as scalars do).
+        let moments = st.m.iter_mut().zip(st.v.iter_mut());
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            *m = beta1 * *m + c1 * g;
+            *v = beta2 * *v + c2 * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 
@@ -301,6 +303,65 @@ mod tests {
         assert_eq!(x[0].to_bits(), x2[0].to_bits());
         assert_eq!(x[1].to_bits(), x2[1].to_bits());
         assert_eq!(y[0].to_bits(), y2[0].to_bits());
+    }
+
+    /// The update written with indices, as the reference for the zipped
+    /// loop: same per-element expression, one element at a time.
+    fn adam_indexed_reference<S: Scalar>(
+        hp: (f64, f64, f64, f64),
+        t: u64,
+        params: &mut [S],
+        grads: &[S],
+        m: &mut [S],
+        v: &mut [S],
+    ) {
+        let (lr, b1, b2, eps) = hp;
+        let (beta1, beta2) = (S::from_f64(b1), S::from_f64(b2));
+        let (c1, c2) = (S::ONE - beta1, S::ONE - beta2);
+        let bc1 = S::from_f64(1.0 - b1.powi(t as i32));
+        let bc2 = S::from_f64(1.0 - b2.powi(t as i32));
+        for i in 0..params.len() {
+            let g = grads[i];
+            m[i] = beta1 * m[i] + c1 * g;
+            v[i] = beta2 * v[i] + c2 * g * g;
+            let m_hat = m[i] / bc1;
+            let v_hat = v[i] / bc2;
+            params[i] -= S::from_f64(lr) * m_hat / (v_hat.sqrt() + S::from_f64(eps));
+        }
+    }
+
+    fn adam_matches_indexed_reference<S: Scalar>(seed: u64) {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // Odd length: the vector body and its scalar tail both run.
+        let len = 1031;
+        let hp = (3e-3, 0.9, 0.999, 1e-8);
+        let mut opt: Adam<S> = Adam::with_betas(hp.0, hp.1, hp.2, hp.3);
+        let mut got: Vec<S> = (0..len)
+            .map(|_| S::from_f64(rng.random_range(-1.0..1.0)))
+            .collect();
+        let mut want = got.clone();
+        let (mut m, mut v) = (vec![S::ZERO; len], vec![S::ZERO; len]);
+        for t in 1..=6 {
+            let grads: Vec<S> = (0..len)
+                .map(|_| S::from_f64(rng.random_range(-2.0..2.0)))
+                .collect();
+            opt.update(0, &mut got, &grads);
+            adam_indexed_reference(hp, t, &mut want, &grads, &mut m, &mut v);
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    a.to_f64().to_bits(),
+                    b.to_f64().to_bits(),
+                    "step {t} element {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn adam_zipped_loop_matches_indexed_reference_bit_for_bit() {
+        adam_matches_indexed_reference::<f32>(5);
+        adam_matches_indexed_reference::<f64>(6);
     }
 
     #[test]

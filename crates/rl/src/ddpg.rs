@@ -8,6 +8,14 @@
 //!
 //! # Hot-path layout
 //!
+//! There is one decision path, [`DdpgAgent::select_action_among`]: a
+//! sparse actor forward, the K-NN mapper query, and a single critic
+//! argmax over the K-NN candidates and any caller-supplied extra
+//! assignments, all through a caller-owned [`ActScratch`]. Its cost
+//! follows the state's support and the N hot action columns per
+//! candidate, not the `N·M` input width. The deployed scheduler, the
+//! rollout workers and the async learner's final pick all go through it.
+//!
 //! [`DdpgAgent::train_step`] batches everything that used to run
 //! per-sample: the target actor's proto-actions for all `H` next-states
 //! come from one forward pass, and the target critic scores *all* `H·K`
@@ -21,7 +29,7 @@ use rand::rngs::StdRng;
 
 use dss_nn::{Activation, Adam, Elem, Matrix, Mlp, Scalar};
 
-use crate::explore::{perturb_proto, perturb_proto_into};
+use crate::explore::perturb_proto_into;
 use crate::mapper::{ActionMapper, CandidateAction};
 use crate::replay::{ReplayBuffer, ShardSlot, ShardedReplayBuffer};
 use crate::snapshot::{self, Reader, SnapshotError, Writer};
@@ -99,11 +107,11 @@ struct TrainScratch<S: Scalar> {
     critic_grad: Matrix<S>,
 }
 
-/// Per-actor scratch for [`DdpgAgent::select_action_into`] — everything a
-/// rollout decision touches, owned by the caller so the shared-`&self`
-/// agent can serve many actors concurrently with **zero allocations once
-/// warm** (asserted by the counting-allocator test in
-/// `tests/alloc_free.rs`).
+/// Per-actor scratch for [`DdpgAgent::select_action_among`] — everything
+/// a decision touches, owned by the caller so the shared-`&self` agent can
+/// serve many actors concurrently with **zero allocations once warm**
+/// (asserted by the counting-allocator test in `tests/alloc_free.rs`). It
+/// carries nothing from one decision to the next.
 #[derive(Debug, Default)]
 pub struct ActScratch<S: Scalar = Elem> {
     /// Ascending support (nonzero coordinates) of the current state.
@@ -115,8 +123,8 @@ pub struct ActScratch<S: Scalar = Elem> {
     row_b: Vec<S>,
     /// Explored proto-action (`R(â) = â + εI`).
     proto: Vec<S>,
-    /// Candidate set of the last query; [`DdpgAgent::select_action_into`]
-    /// returns an index into this.
+    /// K-NN candidate set of the last query; the act path returns an
+    /// index into this (or, past its end, into the caller's extras).
     pub cands: Vec<CandidateAction<S>>,
     /// Critic layer-1 pre-activation over the state alone — shared by
     /// every candidate in the argmax.
@@ -388,7 +396,8 @@ impl<S: Scalar> DdpgAgent<S> {
 
     /// Full decision step (Algorithm 1, lines 8–11): proto-action,
     /// exploration noise with probability `eps`, K-NN mapping, critic
-    /// argmax. Returns the selected candidate.
+    /// argmax. Returns the selected candidate. Allocating convenience
+    /// form of [`DdpgAgent::select_action_into`].
     ///
     /// # Panics
     /// Panics if the mapper returns no candidates.
@@ -402,28 +411,12 @@ impl<S: Scalar> DdpgAgent<S> {
         self.select_action_with_extras(state, mapper, eps, rng, Vec::new())
     }
 
-    /// Allocation-free decision step over caller-owned [`ActScratch`]:
-    /// actor inference, exploration noise, K-NN mapping and the critic
-    /// argmax all run through reused buffers (zero allocations once
-    /// scratch is warm). Returns the index of the selected candidate in
-    /// `scratch.cands`. Consumes the RNG stream identically to
-    /// [`DdpgAgent::select_action`] and selects the same candidate.
-    ///
-    /// The whole path is sparsity-aware so its cost follows the problem's
-    /// *support*, not its width: the actor/critic first layers gather
-    /// only the state's nonzero coordinates (featurized control states
-    /// are a one-hot assignment block plus a short rate tail), each
-    /// candidate's critic score adds its N hot action columns instead of
-    /// streaming an `N·M`-wide one-hot row, and the tail layers run in
-    /// row form without the per-call `Wᵀ` GEMM pack. Every step is
-    /// bitwise identical to the dense batched forward (exact-zero terms
-    /// leave the IEEE accumulator chains untouched — see
-    /// `Dense::accumulate_cols`), so flat and hierarchical mappers, and
-    /// old and new act paths, stay on the same decision stream.
+    /// [`DdpgAgent::select_action_among`] with no extra candidates: the
+    /// pure Algorithm 1 decision. Returns the index of the selected
+    /// candidate in `scratch.cands`.
     ///
     /// # Panics
-    /// Panics if the mapper returns no candidates or its shape disagrees
-    /// with the agent's action width.
+    /// As [`DdpgAgent::select_action_among`].
     pub fn select_action_into(
         &self,
         state: &[S],
@@ -432,6 +425,48 @@ impl<S: Scalar> DdpgAgent<S> {
         rng: &mut StdRng,
         scratch: &mut ActScratch<S>,
     ) -> usize {
+        self.select_action_among(state, mapper, eps, rng, std::iter::empty(), scratch)
+            .0
+    }
+
+    /// The decision step: actor inference, exploration noise with
+    /// probability `eps`, K-NN mapping, then one critic argmax over the
+    /// K-NN candidates followed by `extras` — caller-supplied assignments
+    /// (machine index per thread, e.g. an elite memory of best-rewarded
+    /// actions) that compete alongside the neighbours of the proto-action.
+    /// Returns the winner's position in that order and its Q value:
+    /// positions below `scratch.cands.len()` index `scratch.cands`, later
+    /// ones count into `extras`. Ties keep the earlier candidate. All of it
+    /// runs through the reused buffers of `scratch` (zero allocations once
+    /// warm), and the RNG is consumed only by the exploration noise.
+    ///
+    /// The whole path is sparsity-aware so its cost follows the problem's
+    /// *support*, not its width: the actor/critic first layers gather
+    /// only the state's nonzero coordinates (featurized control states
+    /// are a one-hot assignment block plus a short rate tail), each
+    /// candidate's critic score adds its N hot action columns instead of
+    /// streaming an `N·M`-wide one-hot row — so an extra is never expanded
+    /// to a one-hot — and the tail layers run in row form without the
+    /// per-call `Wᵀ` GEMM pack. Every step is bitwise identical to the
+    /// dense batched forward over `[state ‖ onehot]` (exact-zero terms
+    /// leave the IEEE accumulator chains untouched — see
+    /// `Dense::accumulate_cols`), so flat and hierarchical mappers stay on
+    /// the same decision stream and [`DdpgAgent::q_value`] reproduces
+    /// every score.
+    ///
+    /// # Panics
+    /// Panics if the mapper returns no candidates, its shape disagrees
+    /// with the agent's action width, or a candidate is not an assignment
+    /// of that shape.
+    pub fn select_action_among<'a>(
+        &self,
+        state: &[S],
+        mapper: &mut dyn ActionMapper<S>,
+        eps: f64,
+        rng: &mut StdRng,
+        extras: impl IntoIterator<Item = &'a [usize]>,
+        scratch: &mut ActScratch<S>,
+    ) -> (usize, S) {
         assert_eq!(state.len(), self.state_dim, "state width");
         let ActScratch {
             nz,
@@ -475,15 +510,17 @@ impl<S: Scalar> DdpgAgent<S> {
         clayers[0].accumulate_cols(nz, state, h_state);
         let mut best = 0;
         let mut best_q = S::NEG_INFINITY;
-        for (ci, cand) in cands.iter().enumerate() {
-            assert_eq!(cand.choice.len(), n, "candidate executor count");
+        // The identity map only shortens `'a` to the scratch borrow so the
+        // two halves chain into one iterator.
+        let extras = extras.into_iter().map(|choice| -> &[usize] { choice });
+        let ranked = cands.iter().map(|c| c.choice.as_slice()).chain(extras);
+        for (ci, choice) in ranked.enumerate() {
+            assert_eq!(choice.len(), n, "candidate executor count");
             hot.clear();
-            hot.extend(
-                cand.choice
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| self.state_dim + i * m + c),
-            );
+            hot.extend(choice.iter().enumerate().map(|(i, &c)| {
+                assert!(c < m, "candidate machine index");
+                self.state_dim + i * m + c
+            }));
             row_a.clear();
             row_a.extend_from_slice(h_state);
             clayers[0].accumulate_hot_cols(hot, row_a);
@@ -503,30 +540,30 @@ impl<S: Scalar> DdpgAgent<S> {
                 best = ci;
             }
         }
-        best
+        (best, best_q)
     }
 
-    /// Like [`DdpgAgent::select_action`] but with extra caller-supplied
-    /// candidates (e.g. elite actions remembered from the transition
-    /// database) competing in the critic argmax alongside the K-NN of the
-    /// proto-action.
+    /// Allocating form of [`DdpgAgent::select_action_among`] for callers
+    /// that hold their extras as [`CandidateAction`]s: only each extra's
+    /// `choice` is read, and the winner is returned by value.
     ///
     /// # Panics
-    /// Panics if both the mapper and `extras` yield no candidates.
+    /// As [`DdpgAgent::select_action_among`].
     pub fn select_action_with_extras(
         &self,
         state: &[S],
         mapper: &mut dyn ActionMapper<S>,
         eps: f64,
         rng: &mut StdRng,
-        extras: Vec<CandidateAction<S>>,
+        mut extras: Vec<CandidateAction<S>>,
     ) -> CandidateAction<S> {
-        let proto = self.proto_action(state);
-        let explored = perturb_proto(&proto, eps, rng);
-        let mut candidates = mapper.nearest(&explored, self.config.k);
-        candidates.extend(extras);
-        assert!(!candidates.is_empty(), "no candidates to select from");
-        self.best_by_critic(&self.critic, state, candidates)
+        let mut scratch = ActScratch::default();
+        let choices = extras.iter().map(|c| c.choice.as_slice());
+        let (best, _) = self.select_action_among(state, mapper, eps, rng, choices, &mut scratch);
+        match best.checked_sub(scratch.cands.len()) {
+            Some(extra) => extras.swap_remove(extra),
+            None => scratch.cands.swap_remove(best),
+        }
     }
 
     /// Stores an experience sample.
@@ -671,7 +708,7 @@ impl<S: Scalar> DdpgAgent<S> {
         }
         loss /= h as f64;
         self.critic.zero_grad();
-        self.critic.backward(&scratch.critic_grad);
+        self.critic.backward_params(&scratch.critic_grad);
         self.critic.apply_gradients(&mut self.critic_opt);
 
         // Actor update (line 17): ascend Q by the chain rule through the
@@ -695,7 +732,7 @@ impl<S: Scalar> DdpgAgent<S> {
             }
         }
         self.actor.zero_grad();
-        self.actor.backward(&scratch.actor_grad);
+        self.actor.backward_params(&scratch.actor_grad);
         self.actor.apply_gradients(&mut self.actor_opt);
 
         // Target soft updates (line 18).
@@ -741,31 +778,6 @@ impl<S: Scalar> DdpgAgent<S> {
             online.push(t.clone());
         }
         self.replay = online;
-    }
-
-    fn q_of(&self, critic: &Mlp<S>, state: &[S], action: &[S]) -> S {
-        let mut input = Vec::with_capacity(self.state_dim + self.action_dim);
-        input.extend_from_slice(state);
-        input.extend_from_slice(action);
-        critic.infer_one(&input)[0]
-    }
-
-    fn best_by_critic(
-        &self,
-        critic: &Mlp<S>,
-        state: &[S],
-        candidates: Vec<CandidateAction<S>>,
-    ) -> CandidateAction<S> {
-        let mut best_idx = 0;
-        let mut best_q = S::NEG_INFINITY;
-        for (i, c) in candidates.iter().enumerate() {
-            let q = self.q_of(critic, state, &c.onehot);
-            if q > best_q {
-                best_q = q;
-                best_idx = i;
-            }
-        }
-        candidates.into_iter().nth(best_idx).expect("non-empty")
     }
 }
 
@@ -905,19 +917,159 @@ mod tests {
         assert_eq!(agent.train_steps(), 401);
     }
 
+    /// The decision step written densely, as the reference for the sparse
+    /// act path: batched-form actor inference, the allocating K-NN query,
+    /// then one [`DdpgAgent::q_value`] over `[state ‖ onehot]` per
+    /// candidate, K-NN first and extras after, strict `>`.
+    fn dense_reference<S: Scalar>(
+        agent: &DdpgAgent<S>,
+        state: &[S],
+        mapper: &mut dyn ActionMapper<S>,
+        eps: f64,
+        rng: &mut StdRng,
+        extras: &[Vec<usize>],
+    ) -> (usize, S) {
+        let explored = crate::explore::perturb_proto(&agent.proto_action(state), eps, rng);
+        let cands = mapper.nearest(&explored, agent.config().k);
+        let (_, m) = mapper.shape();
+        let onehots = cands
+            .iter()
+            .map(|c| c.onehot.clone())
+            .chain(extras.iter().map(|choice| {
+                let mut onehot = vec![S::ZERO; choice.len() * m];
+                for (i, &j) in choice.iter().enumerate() {
+                    onehot[i * m + j] = S::ONE;
+                }
+                onehot
+            }));
+        let mut best = (0, S::NEG_INFINITY);
+        for (i, onehot) in onehots.enumerate() {
+            let q = agent.q_value(state, &onehot);
+            if q > best.1 {
+                best = (i, q);
+            }
+        }
+        best
+    }
+
+    /// One-hot assignment block plus a short rate tail — the support
+    /// pattern of a featurized control state.
+    fn control_state<S: Scalar>(n: usize, m: usize, rng: &mut StdRng) -> Vec<S> {
+        use rand::RngExt;
+        let mut state = vec![S::ZERO; n * m + 2];
+        for i in 0..n {
+            state[i * m + rng.random_range(0..m)] = S::ONE;
+        }
+        for rate in &mut state[n * m..] {
+            *rate = S::from_f64(rng.random_range(0.1..1.0));
+        }
+        state
+    }
+
+    fn act_path_matches_dense_reference<S: Scalar>(groups: usize) {
+        use crate::mapper::ScalableMapper;
+        use rand::RngExt;
+        let (n, m) = (6, 4);
+        let cfg = DdpgConfig {
+            seed: 21 + groups as u64,
+            ..DdpgConfig::default()
+        };
+        let agent: DdpgAgent<S> = DdpgAgent::new(n * m + 2, n * m, cfg);
+        let mut mapper = ScalableMapper::from_knobs(n, m, groups, 0);
+        let mut mapper_ref = mapper.clone();
+        let mut scratch = ActScratch::default();
+        let mut rng = StdRng::seed_from_u64(90 + groups as u64);
+        let mut extras_won = 0;
+        for case in 0..60 {
+            let eps = [0.0, 0.5, 1.0][case % 3];
+            let state: Vec<S> = control_state(n, m, &mut rng);
+            let mut extras: Vec<Vec<usize>> = match (case / 3) % 3 {
+                0 => Vec::new(),
+                _ => (0..12)
+                    .map(|_| (0..n).map(|_| rng.random_range(0..m)).collect())
+                    .collect(),
+            };
+            if (case / 3) % 3 == 2 {
+                // Elites that repeat K-NN candidates (the scheduler's
+                // memory holds the actions it deployed): a tie in Q that
+                // must resolve to the earlier, K-NN position.
+                let mut probe = StdRng::from_state(rng.state());
+                let explored =
+                    crate::explore::perturb_proto(&agent.proto_action(&state), eps, &mut probe);
+                for (slot, cand) in mapper_ref.nearest(&explored, cfg.k).iter().enumerate() {
+                    extras[3 * slot % 12] = cand.choice.clone();
+                }
+            }
+
+            let mut rng_ref = StdRng::from_state(rng.state());
+            let want = dense_reference(&agent, &state, &mut mapper_ref, eps, &mut rng_ref, &extras);
+            let got = agent.select_action_among(
+                &state,
+                &mut mapper,
+                eps,
+                &mut rng,
+                extras.iter().map(Vec::as_slice),
+                &mut scratch,
+            );
+            assert_eq!(got.0, want.0, "case {case}: pick");
+            assert_eq!(
+                got.1.to_f64().to_bits(),
+                want.1.to_f64().to_bits(),
+                "case {case}: Q bits"
+            );
+            assert_eq!(rng.state(), rng_ref.state(), "case {case}: RNG stream");
+            if let Some(extra) = got.0.checked_sub(scratch.cands.len()) {
+                extras_won += 1;
+                assert!(
+                    scratch.cands.iter().all(|c| c.choice != extras[extra]),
+                    "case {case}: a duplicate won over its K-NN original"
+                );
+            }
+        }
+        assert!(extras_won > 0, "no case exercised an extra winning");
+    }
+
     #[test]
-    fn select_action_into_matches_allocating_path() {
-        use crate::ddpg::ActScratch;
+    fn act_path_matches_dense_reference_flat_and_hierarchical() {
+        for groups in [0, 2] {
+            act_path_matches_dense_reference::<f32>(groups);
+            act_path_matches_dense_reference::<f64>(groups);
+        }
+    }
+
+    #[test]
+    fn shims_return_the_single_paths_winner() {
         let agent: DdpgAgent<f64> = DdpgAgent::new(4, 4, toy_config());
         let mut mapper = KBestMapper::new(2, 2);
         let mut scratch = ActScratch::default();
-        for (seed, eps) in [(1u64, 0.0), (2, 0.5), (3, 1.0), (4, 0.9)] {
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let state = [0.3, 0.7, 0.1, 0.9];
-            let want = agent.select_action(&state, &mut mapper, eps, &mut rng_a);
-            let idx = agent.select_action_into(&state, &mut mapper, eps, &mut rng_b, &mut scratch);
-            assert_eq!(scratch.cands[idx], want, "seed {seed} eps {eps}");
+        let state = [0.3, 0.7, 0.1, 0.9];
+        let extra = CandidateAction {
+            choice: vec![1, 1],
+            onehot: vec![0.0, 1.0, 0.0, 1.0],
+            cost: 0.0,
+        };
+        for (seed, eps) in [(1u64, 0.0), (2, 0.5), (3, 1.0)] {
+            let rng = || StdRng::seed_from_u64(seed);
+            let idx = agent.select_action_into(&state, &mut mapper, eps, &mut rng(), &mut scratch);
+            let plain = agent.select_action(&state, &mut mapper, eps, &mut rng());
+            assert_eq!(plain, scratch.cands[idx], "seed {seed} eps {eps}");
+            let (pos, _) = agent.select_action_among(
+                &state,
+                &mut mapper,
+                eps,
+                &mut rng(),
+                [extra.choice.as_slice()],
+                &mut scratch,
+            );
+            let with = agent.select_action_with_extras(
+                &state,
+                &mut mapper,
+                eps,
+                &mut rng(),
+                vec![extra.clone()],
+            );
+            let want = scratch.cands.get(pos).unwrap_or(&extra);
+            assert_eq!(&with, want, "seed {seed} eps {eps}");
         }
     }
 

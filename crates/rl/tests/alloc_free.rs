@@ -1,35 +1,46 @@
-//! Counting-allocator proof that the rollout act path is allocation-free
+//! Counting-allocator proof that the act path is allocation-free
 //! once warm.
 //!
-//! `DdpgAgent::select_action_into` is the per-step decision kernel every
-//! parallel-collector actor runs; the ROADMAP named it the next
-//! rollout-throughput win after the learner path went allocation-free.
-//! This test wraps the global allocator in a counter, warms the per-actor
-//! [`ActScratch`] (plus the mapper's k-best workspace and the thread-local
-//! GEMM pack buffers), then asserts that further decisions perform **zero**
-//! heap allocations — so a regression that reintroduces a per-step `Vec`
-//! or `clone` fails CI instead of silently taxing every actor step.
+//! `DdpgAgent::select_action_among` is the one decision kernel: every
+//! parallel-collector actor runs it with no extras
+//! (`select_action_into`), the deployed scheduler with its elite memory
+//! as extras. These tests wrap the global allocator in a counter, warm
+//! the per-actor [`ActScratch`] (plus the mapper's k-best workspace and
+//! the thread-local GEMM pack buffers), then assert that further
+//! decisions perform **zero** heap allocations — so a regression that
+//! reintroduces a per-step `Vec` or `clone` fails CI instead of silently
+//! taxing every control epoch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dss_rl::{ActScratch, DdpgAgent, DdpgConfig, KBestMapper};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// System allocator wrapper counting every allocation/reallocation while
-/// `TRACK` is set (deallocations are free to happen — dropping nothing is
-/// the caller's concern, acquiring nothing is what we assert).
+/// System allocator wrapper counting the allocations/reallocations of a
+/// thread that is measuring (deallocations are free to happen — dropping
+/// nothing is the caller's concern, acquiring nothing is what we assert).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static TRACK: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// This thread's count while it measures, `None` otherwise. Per
+    /// thread, so the test harness's own bookkeeping on its main thread —
+    /// which can land inside a measured window on a busy host — and the
+    /// other test are not counted. The act path runs on the calling
+    /// thread alone.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_alloc() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACK.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
@@ -38,9 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACK.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,11 +57,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-#[test]
-fn warm_select_action_into_allocates_nothing() {
-    // A 6-thread × 4-machine problem at the default K — representative of
-    // the collector's per-actor workload, with a state wide enough that
-    // the actor/critic forwards run real GEMM tiles.
+/// Warms a 6-thread × 4-machine decision at the default K —
+/// representative of the collector's per-actor workload, with a state wide
+/// enough that the actor/critic forwards run real GEMM tiles — then
+/// counts allocations over 200 more decisions, each ranking `extras`
+/// behind the K-NN candidates.
+fn warm_decisions_allocate_nothing(extras: &[Vec<usize>]) {
     let (n, m) = (6usize, 4usize);
     let state_dim = n * m + 1;
     let agent = DdpgAgent::new(state_dim, n * m, DdpgConfig::default());
@@ -67,7 +77,10 @@ fn warm_select_action_into_allocates_nothing() {
         }
         // eps = 1.0 keeps the exploration branch (the one that writes
         // noise through the proto buffer) on the measured path.
-        agent.select_action_into(state, &mut mapper, 1.0, rng, scratch)
+        let extras = extras.iter().map(Vec::as_slice);
+        agent
+            .select_action_among(state, &mut mapper, 1.0, rng, extras, scratch)
+            .0
     };
 
     // Warm-up: fills the act scratch, the mapper's cost/sort/k-best
@@ -76,19 +89,35 @@ fn warm_select_action_into_allocates_nothing() {
         step(&mut rng, &mut state, &mut scratch);
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    TRACK.store(true, Ordering::SeqCst);
+    ALLOCS.set(Some(0));
     let mut picked = 0usize;
     for _ in 0..200 {
         picked += step(&mut rng, &mut state, &mut scratch);
     }
-    TRACK.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.replace(None).expect("set above");
 
     // `picked` keeps the loop observable so nothing is optimized away.
-    assert!(picked < 200 * agent.config().k, "sanity: indices in range");
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let ranked = agent.config().k + extras.len();
+    assert!(picked < 200 * ranked, "sanity: indices in range");
     assert_eq!(
-        allocs, 0,
-        "warm select_action_into must not allocate (saw {allocs} allocations over 200 steps)"
+        allocs,
+        0,
+        "a warm decision over {} extras must not allocate (saw {allocs} allocations over 200 steps)",
+        extras.len()
     );
+}
+
+/// The rollout worker's case: K-NN candidates only.
+#[test]
+fn warm_select_action_into_allocates_nothing() {
+    warm_decisions_allocate_nothing(&[]);
+}
+
+/// The deployed scheduler's case: 12 remembered assignments compete.
+#[test]
+fn warm_decision_over_an_elite_memory_allocates_nothing() {
+    let elites: Vec<Vec<usize>> = (0..12)
+        .map(|e| (0..6).map(|i| (e + i) % 4).collect())
+        .collect();
+    warm_decisions_allocate_nothing(&elites);
 }

@@ -51,8 +51,8 @@ pub struct Learner {
     reward: RewardScale,
     offline_steps: usize,
     rewards: TimeSeries,
-    /// `(reward, one-hot action row)` of the best pushed transitions.
-    elite: Vec<(f64, Vec<Elem>)>,
+    /// `(reward, action)` of the best pushed transitions, ascending.
+    elite: Vec<(f64, Assignment)>,
     row_state: Vec<Elem>,
     row_action: Vec<Elem>,
     row_next: Vec<Elem>,
@@ -159,8 +159,7 @@ impl Learner {
     pub fn pretrain(&mut self, dataset: &OfflineDataset) {
         for s in &dataset.samples {
             let r = self.reward.reward(s.latency_ms);
-            let onehot = onehot_of(&s.action, self.n_machines);
-            self.remember_elite(r, onehot);
+            self.remember_elite(r, s.action.clone());
         }
         let transitions = dataset.ddpg_transitions(self.rate_scale, self.reward);
         self.agent.pretrain(
@@ -216,9 +215,8 @@ impl Learner {
             }
         }
         if let Some((r, row)) = best {
-            let mut onehot = Vec::new();
-            narrow_into(&batch.actions[row * ad..(row + 1) * ad], &mut onehot);
-            self.remember_elite(r, onehot);
+            let action = &batch.actions[row * ad..(row + 1) * ad];
+            self.remember_elite(r, assignment_from_onehot(action, self.n_machines));
         }
         if !batch.is_empty() {
             self.next_shard = (self.next_shard + 1) % self.replay.n_shards();
@@ -229,12 +227,12 @@ impl Learner {
         true
     }
 
-    fn remember_elite(&mut self, reward: f64, onehot: Vec<Elem>) {
-        if self.elite.iter().any(|(_, a)| *a == onehot) {
+    fn remember_elite(&mut self, reward: f64, action: Assignment) {
+        if self.elite.iter().any(|(_, a)| *a == action) {
             return;
         }
         let pos = self.elite.partition_point(|(r, _)| *r < reward);
-        self.elite.insert(pos, (reward, onehot));
+        self.elite.insert(pos, (reward, action));
         if self.elite.len() > ELITE_SIZE {
             self.elite.remove(0);
         }
@@ -291,30 +289,26 @@ impl Learner {
 
     /// Greedy final decision: the actor's proto-action mapped through the
     /// K-NN candidates plus the elite memory of best pushed actions, all
-    /// ranked by the trained critic.
+    /// ranked by the trained critic in one
+    /// [`DdpgAgent::select_action_among`] call — the same decision the
+    /// frozen actor-critic scheduler takes.
     pub fn finalize(&mut self, initial: &Assignment, workload: &Workload) -> Assignment {
         let mut features = Vec::new();
         featurize_into(initial, workload, self.rate_scale, &mut features);
         let mut act = ActScratch::default();
-        let best = self.agent.select_action_into(
+        let (best, _) = self.agent.select_action_among(
             &features,
             &mut self.mapper,
             0.0,
             &mut self.rng,
+            self.elite.iter().map(|(_, a)| a.as_slice()),
             &mut act,
         );
-        let cand = &act.cands[best];
-        let mut solution = choice_to_assignment(&cand.choice, self.n_machines)
-            .expect("mapper candidates are feasible");
-        let mut best_q = self.agent.q_value(&features, &cand.onehot).to_f64();
-        for (_, onehot) in &self.elite {
-            let q = self.agent.q_value(&features, onehot).to_f64();
-            if q > best_q {
-                best_q = q;
-                solution = assignment_from_onehot(onehot, self.n_machines);
-            }
+        match best.checked_sub(act.cands.len()) {
+            Some(elite) => self.elite[elite].1.clone(),
+            None => choice_to_assignment(&act.cands[best].choice, self.n_machines)
+                .expect("mapper candidates are feasible"),
         }
-        solution
     }
 
     /// [`Learner::finalize`] plus a measured validation sweep: the
@@ -329,10 +323,9 @@ impl Learner {
         workload: &Workload,
     ) -> Assignment {
         let mut candidates = vec![self.finalize(initial, workload)];
-        for (_, onehot) in self.elite.iter().rev() {
-            let a = assignment_from_onehot(onehot, self.n_machines);
-            if !candidates.contains(&a) {
-                candidates.push(a);
+        for (_, a) in self.elite.iter().rev() {
+            if !candidates.contains(a) {
+                candidates.push(a.clone());
             }
         }
         candidates
@@ -358,20 +351,9 @@ fn narrow_into(row: &[f64], out: &mut Vec<Elem>) {
     out.extend(row.iter().map(|&x| Elem::from_f64(x)));
 }
 
-/// Encodes an [`Assignment`] as the executor-major `N × M` one-hot row
-/// the agent's critic scores.
-fn onehot_of(assignment: &Assignment, n_machines: usize) -> Vec<Elem> {
-    let slots = assignment.as_slice();
-    let mut onehot = vec![Elem::from_f64(0.0); slots.len() * n_machines];
-    for (e, &m) in slots.iter().enumerate() {
-        onehot[e * n_machines + m] = Elem::from_f64(1.0);
-    }
-    onehot
-}
-
 /// Decodes a one-hot full-assignment action row (executor-major `N × M`
-/// blocks) back into an [`Assignment`].
-fn assignment_from_onehot(onehot: &[Elem], n_machines: usize) -> Assignment {
+/// blocks, wire `f64`) back into an [`Assignment`].
+fn assignment_from_onehot(onehot: &[f64], n_machines: usize) -> Assignment {
     let n = onehot.len() / n_machines;
     let choice: Vec<usize> = (0..n)
         .map(|e| {
