@@ -27,6 +27,7 @@ use dss_metrics::TimeSeries;
 use dss_sim::Assignment;
 use dss_store::StoreError;
 
+use crate::config::ControlConfig;
 use crate::experiment::Method;
 
 /// Checkpoint decode/IO failures (typed; foreign bytes never panic).
@@ -42,7 +43,8 @@ pub enum CheckpointError {
     Truncated,
     /// A length or index field described an impossible structure.
     BadStructure(&'static str),
-    /// The checkpoint belongs to a different run (method or seed).
+    /// The checkpoint belongs to a different run (method, seed, epoch
+    /// budget or problem shape).
     Mismatch {
         /// What the resuming run expected.
         expected: String,
@@ -382,15 +384,43 @@ impl TrainCheckpoint {
     }
 
     /// Rejects a checkpoint from a different run before any state is
-    /// touched.
-    pub fn validate_run(&self, method: Method, seed: u64) -> Result<(), CheckpointError> {
-        if self.method != method || self.seed != seed {
-            return Err(CheckpointError::Mismatch {
-                expected: format!("{}/seed {seed}", method.label()),
-                found: format!("{}/seed {}", self.method.label(), self.seed),
-            });
+    /// touched: another method or seed, more epochs completed than `cfg`
+    /// trains for, or recorded actions of another problem shape (the
+    /// file name carries method and seed only, so a directory reused
+    /// across scenarios or budgets offers exactly these).
+    pub fn validate_run(
+        &self,
+        method: Method,
+        cfg: &ControlConfig,
+        n_executors: usize,
+        n_machines: usize,
+    ) -> Result<(), CheckpointError> {
+        let mismatch =
+            |expected: String, found: String| Err(CheckpointError::Mismatch { expected, found });
+        if self.method != method || self.seed != cfg.seed {
+            return mismatch(
+                format!("{}/seed {}", method.label(), cfg.seed),
+                format!("{}/seed {}", self.method.label(), self.seed),
+            );
         }
-        Ok(())
+        if self.completed > cfg.online_epochs {
+            return mismatch(
+                format!("at most {} online epochs", cfg.online_epochs),
+                format!("{} completed", self.completed),
+            );
+        }
+        let shape = |n: usize, m: usize| format!("{n} executors on {m} machines");
+        match self
+            .actions
+            .iter()
+            .find(|a| a.n_executors() != n_executors || a.n_machines() != n_machines)
+        {
+            Some(a) => mismatch(
+                shape(n_executors, n_machines),
+                shape(a.n_executors(), a.n_machines()),
+            ),
+            None => Ok(()),
+        }
     }
 }
 
@@ -458,14 +488,23 @@ mod tests {
             assert!(TrainCheckpoint::decode(&image[..cut]).is_err());
         }
         let ckpt = sample();
-        assert!(ckpt.validate_run(Method::Dqn, 9).is_ok());
-        assert!(matches!(
-            ckpt.validate_run(Method::ActorCritic, 9),
-            Err(CheckpointError::Mismatch { .. })
-        ));
-        assert!(matches!(
-            ckpt.validate_run(Method::Dqn, 10),
-            Err(CheckpointError::Mismatch { .. })
-        ));
+        let cfg = |seed, online_epochs| ControlConfig {
+            seed,
+            online_epochs,
+            ..ControlConfig::test()
+        };
+        assert!(ckpt.validate_run(Method::Dqn, &cfg(9, 2), 3, 2).is_ok());
+        for (method, cfg, n, m) in [
+            (Method::ActorCritic, cfg(9, 2), 3, 2),
+            (Method::Dqn, cfg(10, 2), 3, 2),
+            (Method::Dqn, cfg(9, 1), 3, 2),
+            (Method::Dqn, cfg(9, 2), 4, 2),
+            (Method::Dqn, cfg(9, 2), 3, 3),
+        ] {
+            assert!(matches!(
+                ckpt.validate_run(method, &cfg, n, m),
+                Err(CheckpointError::Mismatch { .. })
+            ));
+        }
     }
 }

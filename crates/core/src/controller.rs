@@ -12,7 +12,7 @@
 //! stored in the [`TransitionStore`] and fed back to the scheduler.
 
 use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{RngExt, SeedableRng};
 
 use dss_metrics::TimeSeries;
 use dss_rl::{Elem, Scalar, Transition};
@@ -21,7 +21,7 @@ use dss_sim::{Assignment, RuntimeStats, Workload};
 use crate::config::ControlConfig;
 use crate::env::{Environment, StoredTransition, TransitionStore};
 use crate::reward::RewardScale;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{RandomMode, RandomScheduler, Scheduler};
 use crate::state::SchedState;
 
 /// One offline sample: `prev` was deployed, `action` replaced it under
@@ -190,35 +190,33 @@ impl Controller {
         OfflineDataset { samples }
     }
 
-    /// Online learning (Algorithm 1's decision-epoch loop): runs
-    /// `epochs` epochs of schedule → deploy → measure → observe against
-    /// any backend, starting from `initial`. Schedule-aware backends are
-    /// honoured: the state the scheduler sees carries the workload scaled
-    /// by [`Environment::workload_multiplier`], while `workload` stays the
-    /// base rate handed to the backend. Returns `(per-epoch rewards,
-    /// final assignment)`.
-    pub fn online_learn<E: Environment + ?Sized>(
+    /// The offline phase as every training driver runs it (Algorithm 1's
+    /// random collection): [`Controller::collect_offline`] from `initial`
+    /// with a [`RandomScheduler`] in `mode` seeded by `config.seed`, and
+    /// the workload multipliers drawn from a second stream split off the
+    /// same seed. A same-seed environment driven through it twice ends
+    /// in the same state, which is what checkpoint resume replays.
+    pub fn offline_phase<E: Environment + ?Sized>(
         &self,
-        scheduler: &mut dyn Scheduler,
         env: &mut E,
-        workload: &Workload,
+        base_workload: &Workload,
+        mode: RandomMode,
         initial: Assignment,
-        epochs: usize,
-    ) -> (TimeSeries, Assignment) {
-        let mut rewards = TimeSeries::new();
-        let mut current = initial;
-        for t in 0..epochs {
-            current = self.online_epoch(scheduler, env, workload, current, t, &mut rewards);
-        }
-        (rewards, current)
+    ) -> OfflineDataset {
+        let mut collector = RandomScheduler::new(mode, StdRng::seed_from_u64(self.config.seed));
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xE0);
+        self.collect_offline(env, base_workload, &mut collector, initial, &mut rng)
     }
 
-    /// One decision epoch of [`Controller::online_learn`] — the shared
-    /// per-epoch body, factored out so the durable training driver
-    /// ([`crate::experiment::train_method_durable`]) can checkpoint
-    /// *between* epochs while running the byte-identical loop the
-    /// uninterrupted path runs. Returns the deployed action (the next
-    /// epoch's `current`).
+    /// One decision epoch of online learning (Algorithm 1's loop body):
+    /// schedule → deploy → measure → observe against any backend, from
+    /// `current`. Schedule-aware backends are honoured: the state the
+    /// scheduler sees carries the workload scaled by
+    /// [`Environment::workload_multiplier`], while `workload` stays the
+    /// base rate handed to the backend. Pushes epoch `t`'s reward onto
+    /// `rewards` and returns the deployed action (the next epoch's
+    /// `current`). The loop around it is
+    /// [`crate::experiment::train_drl_with`].
     pub fn online_epoch<E: Environment + ?Sized>(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -265,10 +263,8 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::env::AnalyticEnv;
-    use crate::scheduler::random::RandomMode;
-    use crate::scheduler::{RandomScheduler, RoundRobinScheduler};
+    use crate::scheduler::RoundRobinScheduler;
     use dss_sim::{AnalyticModel, ClusterSpec, Grouping, SimConfig, Topology, TopologyBuilder};
-    use rand::SeedableRng;
 
     fn topo() -> Topology {
         let mut b = TopologyBuilder::new("t");
@@ -345,8 +341,11 @@ mod tests {
         let w = Workload::uniform(&topo(), 300.0);
         let cluster = ClusterSpec::homogeneous(3);
         let mut sched = RoundRobinScheduler::new(&topo(), &cluster);
-        let init = Assignment::round_robin(&topo(), &cluster);
-        let (rewards, fin) = ctl.online_learn(&mut sched, &mut env, &w, init, 10);
+        let mut fin = Assignment::round_robin(&topo(), &cluster);
+        let mut rewards = TimeSeries::new();
+        for t in 0..10 {
+            fin = ctl.online_epoch(&mut sched, &mut env, &w, fin, t, &mut rewards);
+        }
         assert_eq!(rewards.len(), 10);
         assert!(rewards.values().iter().all(|&r| r < 0.0));
         assert_eq!(fin.as_slice(), &[0, 1, 2, 0, 1, 2]);

@@ -115,6 +115,43 @@ pub trait Environment {
     }
 }
 
+/// A boxed backend is a backend, so code generic over `E: Environment`
+/// also runs over one chosen at run time
+/// ([`crate::scenario::Scenario::env`]).
+impl<E: Environment + ?Sized> Environment for Box<E> {
+    fn n_executors(&self) -> usize {
+        (**self).n_executors()
+    }
+
+    fn n_machines(&self) -> usize {
+        (**self).n_machines()
+    }
+
+    fn deploy_and_measure(&mut self, assignment: &Assignment, workload: &Workload) -> f64 {
+        (**self).deploy_and_measure(assignment, workload)
+    }
+
+    fn deploy_and_measure_stats(
+        &mut self,
+        assignment: &Assignment,
+        workload: &Workload,
+    ) -> (f64, RuntimeStats) {
+        (**self).deploy_and_measure_stats(assignment, workload)
+    }
+
+    fn workload_multiplier(&self) -> f64 {
+        (**self).workload_multiplier()
+    }
+
+    fn save_state(&self) -> Option<Vec<u8>> {
+        (**self).save_state()
+    }
+
+    fn restore_state(&mut self, image: &[u8]) -> Result<(), String> {
+        (**self).restore_state(image)
+    }
+}
+
 /// Training environment over the analytic evaluator (with measurement
 /// noise, mirroring the jitter of real 5×10 s measurements).
 ///

@@ -16,10 +16,9 @@
 //!    minute 20; the deployed agent reacts to the observed workload change
 //!    by re-scheduling (the spike, then restabilization).
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use dss_apps::App;
 use dss_metrics::{filter, normalize, TimeSeries};
@@ -32,10 +31,9 @@ use crate::config::ControlConfig;
 use crate::controller::Controller;
 use crate::env::{AnalyticEnv, Environment};
 use crate::scenario::Scenario;
-use crate::scheduler::random::RandomMode;
 use crate::scheduler::{
-    ActorCriticScheduler, DqnScheduler, ModelBasedScheduler, RandomScheduler, RoundRobinScheduler,
-    Scheduler,
+    ActorCriticScheduler, DqnScheduler, DrlScheduler, ModelBasedScheduler, RandomMode,
+    RoundRobinScheduler, Scheduler,
 };
 use crate::state::SchedState;
 
@@ -161,21 +159,9 @@ pub fn train_method_on(
     scenario: &Scenario,
     cfg: &ControlConfig,
 ) -> TrainOutcome {
-    match backend {
-        Backend::Analytic => {
-            train_method_with(method, &scenario.app, &scenario.cluster, cfg, || {
-                scenario.analytic_env(cfg, cfg.seed)
-            })
-        }
-        Backend::Sim => train_method_with(method, &scenario.app, &scenario.cluster, cfg, || {
-            scenario.sim_env(cfg, cfg.seed)
-        }),
-        Backend::Cluster => {
-            train_method_with(method, &scenario.app, &scenario.cluster, cfg, || {
-                scenario.cluster_env(cfg, cfg.seed)
-            })
-        }
-    }
+    train_method_with(method, &scenario.app, &scenario.cluster, cfg, || {
+        scenario.env(backend, cfg, cfg.seed)
+    })
 }
 
 /// Trains one method on an application (offline + online phases) against
@@ -194,111 +180,113 @@ pub fn train_method_with<E: Environment>(
     cfg: &ControlConfig,
     make_env: impl Fn() -> E,
 ) -> TrainOutcome {
+    // The two methods without an online phase decide once, from Storm's
+    // default placement.
     let controller = Controller::new(*cfg);
-    let n = app.topology.n_executors();
-    let m = cluster.n_machines();
-    let n_sources = app.workload.rates().len();
     let rr = Assignment::round_robin(&app.topology, cluster);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0);
-
-    match method {
-        Method::Default => {
-            let mut sched = RoundRobinScheduler::new(&app.topology, cluster);
-            let solution = controller.decide(&mut sched, &rr, &app.workload);
-            TrainOutcome {
-                method,
-                scheduler: Box::new(sched),
-                rewards: None,
-                solution,
-            }
-        }
+    let mut scheduler: Box<dyn Scheduler> = match method {
+        Method::Default => Box::new(RoundRobinScheduler::new(&app.topology, cluster)),
         Method::ModelBased => {
-            let mut env = make_env();
-            let mut collector =
-                RandomScheduler::new(RandomMode::FullRandom, StdRng::seed_from_u64(cfg.seed));
-            let data = controller.collect_offline(
-                &mut env,
+            let data = controller.offline_phase(
+                &mut make_env(),
                 &app.workload,
-                &mut collector,
+                RandomMode::FullRandom,
                 rr.clone(),
-                &mut rng,
             );
             let cores = cluster.machines[0].cores;
-            let mut sched = ModelBasedScheduler::new(app.topology.clone(), m, cores, cfg.seed);
-            sched.pretrain(&data);
-            let solution = controller.decide(&mut sched, &rr, &app.workload);
-            TrainOutcome {
-                method,
-                scheduler: Box::new(sched),
-                rewards: None,
-                solution,
-            }
-        }
-        Method::Dqn => {
-            let mut env = make_env();
-            // Offline: random walk through the single-move action space.
-            let mut collector =
-                RandomScheduler::new(RandomMode::RandomWalk, StdRng::seed_from_u64(cfg.seed));
-            let data = controller.collect_offline(
-                &mut env,
-                &app.workload,
-                &mut collector,
-                rr.clone(),
-                &mut rng,
+            let mut sched = ModelBasedScheduler::new(
+                app.topology.clone(),
+                cluster.n_machines(),
+                cores,
+                cfg.seed,
             );
-            let mut sched = DqnScheduler::new(n, m, n_sources, cfg);
             sched.pretrain(&data);
-            let (rewards, last) = controller.online_learn(
-                &mut sched,
-                &mut env,
-                &app.workload,
-                rr.clone(),
-                cfg.online_epochs,
-            );
-            sched.freeze();
-            // Deployable solution: greedy single-move rollout from the
-            // online endpoint (each greedy decision moves one thread).
-            let mut current = last;
-            for _ in 0..(2 * n) {
-                current = controller.decide(&mut sched, &current, &app.workload);
-            }
-            TrainOutcome {
-                method,
-                scheduler: Box::new(sched),
-                rewards: Some(rewards),
-                solution: current,
-            }
+            Box::new(sched)
         }
+        Method::Dqn => return train_drl::<DqnScheduler, E>(app, cluster, cfg, &mut make_env()),
         Method::ActorCritic => {
-            let mut env = make_env();
-            let mut collector =
-                RandomScheduler::new(RandomMode::FullRandom, StdRng::seed_from_u64(cfg.seed));
-            let data = controller.collect_offline(
-                &mut env,
-                &app.workload,
-                &mut collector,
-                rr.clone(),
-                &mut rng,
-            );
-            let mut sched = ActorCriticScheduler::new(n, m, n_sources, cfg);
-            sched.pretrain(&data);
-            let (rewards, last) = controller.online_learn(
-                &mut sched,
-                &mut env,
-                &app.workload,
-                rr.clone(),
-                cfg.online_epochs,
-            );
-            sched.freeze();
-            let solution = controller.decide(&mut sched, &last, &app.workload);
-            TrainOutcome {
-                method,
-                scheduler: Box::new(sched),
-                rewards: Some(rewards),
-                solution,
-            }
+            return train_drl::<ActorCriticScheduler, E>(app, cluster, cfg, &mut make_env())
         }
+    };
+    let solution = controller.decide(scheduler.as_mut(), &rr, &app.workload);
+    TrainOutcome {
+        method,
+        scheduler,
+        rewards: None,
+        solution,
     }
+}
+
+/// [`train_drl_with`] from scratch, with a hook that does nothing.
+fn train_drl<S: DrlScheduler, E: Environment>(
+    app: &App,
+    cluster: &ClusterSpec,
+    cfg: &ControlConfig,
+    env: &mut E,
+) -> TrainOutcome {
+    let ControlFlow::Continue(out) =
+        train_drl_with::<S, E, Infallible>(app, cluster, cfg, env, None, |_, _, _, _| {
+            ControlFlow::Continue(())
+        });
+    out
+}
+
+/// Algorithm 1, once, for either DRL scheduler — the loop every training
+/// driver runs: offline random collection
+/// ([`Controller::offline_phase`]) → build the scheduler → pretrain →
+/// `cfg.online_epochs` × [`Controller::online_epoch`] → freeze → the
+/// greedy decision(s) that give the deployable solution. The online phase
+/// continues on the `env` the offline phase drove. With `resumed` —
+/// `(restored scheduler, rewards so far, assignment deployed last)` — the
+/// loop instead picks up after the epochs those rewards record, on an
+/// `env` the caller has brought to the matching state.
+///
+/// `between` is the one thing drivers differ in. It is called as
+/// `between(&scheduler, &env, &rewards, &deployed)` after pretraining
+/// (no rewards yet) and after every online epoch, and stops the run by
+/// breaking: [`train_method_with`] passes a hook that does nothing,
+/// [`train_method_durable_with`] checkpoints and fires its scripted kill
+/// there, the lockstep training service publishes the policy. It sees the
+/// run read-only, so no hook can perturb the trajectory — which is what
+/// the `durable_zero_fault`, `kill_resume_*` and lockstep-equivalence
+/// tests now check.
+pub fn train_drl_with<S: DrlScheduler, E: Environment, B>(
+    app: &App,
+    cluster: &ClusterSpec,
+    cfg: &ControlConfig,
+    env: &mut E,
+    resumed: Option<(S, TimeSeries, Assignment)>,
+    mut between: impl FnMut(&S, &E, &TimeSeries, &Assignment) -> ControlFlow<B>,
+) -> ControlFlow<B, TrainOutcome> {
+    let controller = Controller::new(*cfg);
+    let n = app.topology.n_executors();
+    let workload = &app.workload;
+    let (mut sched, mut rewards, mut current) = match resumed {
+        Some(run) => run,
+        None => {
+            let rr = Assignment::round_robin(&app.topology, cluster);
+            let data = controller.offline_phase(env, workload, S::OFFLINE_MODE, rr.clone());
+            let mut sched = S::new(n, cluster.n_machines(), workload.rates().len(), cfg);
+            sched.pretrain(&data);
+            let rewards = TimeSeries::new();
+            between(&sched, env, &rewards, &rr)?;
+            (sched, rewards, rr)
+        }
+    };
+    for t in rewards.len()..cfg.online_epochs {
+        current = controller.online_epoch(&mut sched, env, workload, current, t, &mut rewards);
+        between(&sched, env, &rewards, &current)?;
+    }
+    sched.freeze();
+    for _ in 0..S::final_decisions(n) {
+        current = controller.decide(&mut sched, &current, workload);
+    }
+    ControlFlow::Continue(TrainOutcome {
+        method: S::METHOD,
+        scheduler: Box::new(sched),
+        rewards: Some(rewards),
+        solution: current,
+    })
 }
 
 /// Options for crash-safe training ([`train_method_durable`]).
@@ -392,127 +380,9 @@ pub fn train_method_durable(
     cfg: &ControlConfig,
     opts: &DurableOptions,
 ) -> Result<DurableRun, CheckpointError> {
-    match backend {
-        Backend::Analytic => {
-            train_method_durable_with(method, &scenario.app, &scenario.cluster, cfg, opts, || {
-                scenario.analytic_env(cfg, cfg.seed)
-            })
-        }
-        Backend::Sim => {
-            train_method_durable_with(method, &scenario.app, &scenario.cluster, cfg, opts, || {
-                scenario.sim_env(cfg, cfg.seed)
-            })
-        }
-        Backend::Cluster => {
-            train_method_durable_with(method, &scenario.app, &scenario.cluster, cfg, opts, || {
-                scenario.cluster_env(cfg, cfg.seed)
-            })
-        }
-    }
-}
-
-/// The trainable-method state a durable run checkpoints and restores,
-/// kept as the concrete scheduler type so `save_state`/`restore_state`
-/// stay reachable while the epoch loop borrows it as a `dyn Scheduler`.
-// One instance exists per training run, on the stack — the variant size
-// gap is irrelevant here.
-#[allow(clippy::large_enum_variant)]
-enum DrlSched {
-    Dqn(DqnScheduler),
-    ActorCritic(ActorCriticScheduler),
-}
-
-impl DrlSched {
-    fn build(method: Method, n: usize, m: usize, n_sources: usize, cfg: &ControlConfig) -> Self {
-        match method {
-            Method::Dqn => DrlSched::Dqn(DqnScheduler::new(n, m, n_sources, cfg)),
-            Method::ActorCritic => {
-                DrlSched::ActorCritic(ActorCriticScheduler::new(n, m, n_sources, cfg))
-            }
-            _ => unreachable!("only DRL methods carry training state"),
-        }
-    }
-
-    fn restore(
-        method: Method,
-        n: usize,
-        m: usize,
-        n_sources: usize,
-        cfg: &ControlConfig,
-        bytes: &[u8],
-    ) -> Result<Self, CheckpointError> {
-        Ok(match method {
-            Method::Dqn => DrlSched::Dqn(DqnScheduler::restore_state(n, m, n_sources, cfg, bytes)?),
-            Method::ActorCritic => DrlSched::ActorCritic(ActorCriticScheduler::restore_state(
-                n, m, n_sources, cfg, bytes,
-            )?),
-            _ => unreachable!("only DRL methods carry training state"),
-        })
-    }
-
-    /// The offline collector this method trains from (mirrors
-    /// [`train_method_with`]).
-    fn collector(method: Method, cfg: &ControlConfig) -> RandomScheduler {
-        let mode = match method {
-            Method::Dqn => RandomMode::RandomWalk,
-            _ => RandomMode::FullRandom,
-        };
-        RandomScheduler::new(mode, StdRng::seed_from_u64(cfg.seed))
-    }
-
-    fn as_scheduler(&mut self) -> &mut dyn Scheduler {
-        match self {
-            DrlSched::Dqn(s) => s,
-            DrlSched::ActorCritic(s) => s,
-        }
-    }
-
-    fn pretrain(&mut self, data: &crate::controller::OfflineDataset) {
-        self.as_scheduler().pretrain(data);
-    }
-
-    fn save_state_into(&self, out: &mut Vec<u8>) {
-        match self {
-            DrlSched::Dqn(s) => s.save_state_into(out),
-            DrlSched::ActorCritic(s) => s.save_state_into(out),
-        }
-    }
-
-    fn freeze(&mut self) {
-        match self {
-            DrlSched::Dqn(s) => s.freeze(),
-            DrlSched::ActorCritic(s) => s.freeze(),
-        }
-    }
-
-    /// Post-training solution extraction (mirrors [`train_method_with`]):
-    /// a greedy single-move rollout for DQN, one greedy decision for the
-    /// actor-critic.
-    fn finalize(
-        &mut self,
-        controller: &Controller,
-        last: Assignment,
-        workload: &Workload,
-        n: usize,
-    ) -> Assignment {
-        match self {
-            DrlSched::Dqn(s) => {
-                let mut current = last;
-                for _ in 0..(2 * n) {
-                    current = controller.decide(s, &current, workload);
-                }
-                current
-            }
-            DrlSched::ActorCritic(s) => controller.decide(s, &last, workload),
-        }
-    }
-
-    fn into_box(self) -> Box<dyn Scheduler> {
-        match self {
-            DrlSched::Dqn(s) => Box::new(s),
-            DrlSched::ActorCritic(s) => Box::new(s),
-        }
-    }
+    train_method_durable_with(method, &scenario.app, &scenario.cluster, cfg, opts, || {
+        scenario.env(backend, cfg, cfg.seed)
+    })
 }
 
 /// [`train_method_durable`] over an explicit environment factory — the
@@ -529,69 +399,66 @@ pub fn train_method_durable_with<E: Environment>(
     make_env: impl Fn() -> E,
 ) -> Result<DurableRun, CheckpointError> {
     assert!(opts.every >= 1, "checkpoint cadence must be >= 1");
-    if !matches!(method, Method::Dqn | Method::ActorCritic) {
+    match method {
+        Method::Dqn => durable_drl::<DqnScheduler, E>(app, cluster, cfg, opts, make_env),
+        Method::ActorCritic => {
+            durable_drl::<ActorCriticScheduler, E>(app, cluster, cfg, opts, make_env)
+        }
         // No training state to lose: the plain path is already crash-safe
         // (re-running it from scratch is the recovery).
-        return Ok(DurableRun::Completed(train_method_with(
+        _ => Ok(DurableRun::Completed(train_method_with(
             method, app, cluster, cfg, make_env,
-        )));
+        ))),
     }
+}
+
+/// [`train_drl_with`] made durable: a resume prologue that brings a fresh
+/// same-seed environment and a restored scheduler to the checkpointed
+/// epoch, and a between-epoch hook that checkpoints and fires the
+/// scripted kill. The epoch loop itself is the plain path's, which is why
+/// a zero-fault durable run is bit-identical to it.
+fn durable_drl<S: DrlScheduler, E: Environment>(
+    app: &App,
+    cluster: &ClusterSpec,
+    cfg: &ControlConfig,
+    opts: &DurableOptions,
+    make_env: impl Fn() -> E,
+) -> Result<DurableRun, CheckpointError> {
     std::fs::create_dir_all(&opts.dir)
         .map_err(|e| CheckpointError::Env(format!("checkpoint dir: {e}")))?;
-    let path = checkpoint_path(&opts.dir, method, cfg);
-    let resume = if path.exists() {
+    let path = checkpoint_path(&opts.dir, S::METHOD, cfg);
+    let (n, m) = (app.topology.n_executors(), cluster.n_machines());
+    let checkpoint = if path.exists() {
         let ckpt = TrainCheckpoint::load(&path)?;
-        ckpt.validate_run(method, cfg.seed)?;
+        ckpt.validate_run(S::METHOD, cfg, n, m)?;
         Some(ckpt)
     } else {
         None
     };
 
-    let controller = Controller::new(*cfg);
-    let n = app.topology.n_executors();
-    let m = cluster.n_machines();
-    let n_sources = app.workload.rates().len();
-    let rr = Assignment::round_robin(&app.topology, cluster);
     let mut env = make_env();
-
-    let (mut sched, mut rewards, mut actions, start) = match resume {
-        None => {
-            // Fresh start: byte-for-byte the [`train_method_with`] offline
-            // phase, so a zero-fault durable run stays bit-identical to
-            // the plain path.
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0);
-            let mut collector = DrlSched::collector(method, cfg);
-            let data = controller.collect_offline(
-                &mut env,
-                &app.workload,
-                &mut collector,
-                rr.clone(),
-                &mut rng,
-            );
-            let mut sched = DrlSched::build(method, n, m, n_sources, cfg);
-            sched.pretrain(&data);
-            (sched, TimeSeries::new(), Vec::new(), 0)
-        }
+    let mut actions = Vec::new();
+    let resumed = match checkpoint {
+        None => None,
         Some(ckpt) => {
+            let rr = Assignment::round_robin(&app.topology, cluster);
             match &ckpt.env_image {
                 // Direct restore: the backend hands back the exact state
                 // it checkpointed.
                 Some(img) => env.restore_state(img).map_err(CheckpointError::Env)?,
-                // Deterministic replay: re-run the offline collection
+                // Deterministic replay: re-run the offline phase
                 // (identical RNG streams advance the env identically —
                 // the dataset itself is discarded, the restored scheduler
                 // already learned from it), then replay the recorded
                 // online actions through the same call pattern the epoch
                 // loop uses.
                 None => {
-                    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0);
-                    let mut collector = DrlSched::collector(method, cfg);
-                    let _ = controller.collect_offline(
+                    let controller = Controller::new(*cfg);
+                    let _ = controller.offline_phase(
                         &mut env,
                         &app.workload,
-                        &mut collector,
+                        S::OFFLINE_MODE,
                         rr.clone(),
-                        &mut rng,
                     );
                     for a in &ckpt.actions {
                         let _ = env.workload_multiplier();
@@ -600,33 +467,30 @@ pub fn train_method_durable_with<E: Environment>(
                     }
                 }
             }
-            let sched = DrlSched::restore(method, n, m, n_sources, cfg, &ckpt.scheduler_state)?;
-            (sched, ckpt.rewards, ckpt.actions, ckpt.completed)
+            let n_sources = app.workload.rates().len();
+            let sched = S::restore_state(n, m, n_sources, cfg, &ckpt.scheduler_state)?;
+            actions = ckpt.actions;
+            Some((sched, ckpt.rewards, actions.last().cloned().unwrap_or(rr)))
         }
     };
 
-    let mut current = actions.last().cloned().unwrap_or_else(|| rr.clone());
     // Serialization scratches reused across checkpoints: the scheduler
     // image and the encoded checkpoint are both multi-megabyte (the
     // agent's replay ring dominates), so growing fresh `Vec`s every
     // `opts.every` epochs was pure realloc+memcpy churn.
     let mut sched_scratch: Vec<u8> = Vec::new();
     let mut ckpt_scratch: Vec<u8> = Vec::new();
-    for t in start..cfg.online_epochs {
-        current = controller.online_epoch(
-            sched.as_scheduler(),
-            &mut env,
-            &app.workload,
-            current,
-            t,
-            &mut rewards,
-        );
-        actions.push(current.clone());
-        let done = t + 1;
-        if done % opts.every == 0 || done == cfg.online_epochs {
+    let hook = |sched: &S, env: &E, rewards: &TimeSeries, action: &Assignment| {
+        let done = rewards.len();
+        if done == 0 {
+            // Pretrained only: a crash here restarts from scratch.
+            return ControlFlow::Continue(());
+        }
+        actions.push(action.clone());
+        if done.is_multiple_of(opts.every) || done == cfg.online_epochs {
             sched.save_state_into(&mut sched_scratch);
             let ckpt = TrainCheckpoint {
-                method,
+                method: S::METHOD,
                 seed: cfg.seed,
                 completed: done,
                 rewards: rewards.clone(),
@@ -634,22 +498,20 @@ pub fn train_method_durable_with<E: Environment>(
                 env_image: env.save_state(),
                 scheduler_state: std::mem::take(&mut sched_scratch),
             };
-            ckpt.save_with(&path, &mut ckpt_scratch)?;
+            if let Err(e) = ckpt.save_with(&path, &mut ckpt_scratch) {
+                return ControlFlow::Break(Err(e));
+            }
             sched_scratch = ckpt.scheduler_state;
         }
         if opts.kill_after == Some(done) {
-            return Ok(DurableRun::Killed { at_epoch: done });
+            return ControlFlow::Break(Ok(DurableRun::Killed { at_epoch: done }));
         }
+        ControlFlow::Continue(())
+    };
+    match train_drl_with(app, cluster, cfg, &mut env, resumed, hook) {
+        ControlFlow::Continue(out) => Ok(DurableRun::Completed(out)),
+        ControlFlow::Break(stopped) => stopped,
     }
-
-    sched.freeze();
-    let solution = sched.finalize(&controller, current, &app.workload, n);
-    Ok(DurableRun::Completed(TrainOutcome {
-        method,
-        scheduler: sched.into_box(),
-        rewards: Some(rewards),
-        solution,
-    }))
 }
 
 /// Runs a deployed solution on a fresh tuple-level engine for
@@ -834,7 +696,10 @@ pub fn initial_state(app: &App, cluster: &ClusterSpec) -> SchedState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::RandomScheduler;
     use dss_apps::{continuous_queries, CqScale};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn tiny_cfg() -> ControlConfig {
         ControlConfig {
@@ -1124,6 +989,22 @@ mod tests {
             train_method_durable(Backend::Analytic, Method::ActorCritic, &sc, &cfg, &opts),
             Err(CheckpointError::Mismatch { .. })
         ));
+        // A checkpoint of a differently shaped scenario under the same
+        // method and seed is refused before the environment replays it.
+        let medium = Scenario::by_name("cq-medium-steady").unwrap();
+        assert!(matches!(
+            train_method_durable(Backend::Analytic, Method::Dqn, &medium, &cfg, &opts),
+            Err(CheckpointError::Mismatch { .. })
+        ));
+        // So is one that has run further than this config trains for.
+        let shorter = ControlConfig {
+            online_epochs: 1,
+            ..cfg
+        };
+        assert!(matches!(
+            train_method_durable(Backend::Analytic, Method::Dqn, &sc, &shorter, &opts),
+            Err(CheckpointError::Mismatch { .. })
+        ));
         // A flipped byte is caught by the blob CRC, never silently resumed.
         let mut raw = std::fs::read(&dqn_path).unwrap();
         let mid = raw.len() / 2;
@@ -1153,31 +1034,9 @@ mod tests {
             ..ControlConfig::test()
         };
         let mut env = sc.cluster_env(&cfg, cfg.seed);
-        let controller = Controller::new(cfg);
-        let rr = sc.initial_assignment();
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0);
-        let mut collector =
-            RandomScheduler::new(RandomMode::FullRandom, StdRng::seed_from_u64(cfg.seed));
-        let data = controller.collect_offline(
-            &mut env,
-            &sc.app.workload,
-            &mut collector,
-            rr.clone(),
-            &mut rng,
-        );
-        let mut sched =
-            ActorCriticScheduler::new(sc.n_executors(), sc.n_machines(), sc.n_sources(), &cfg);
-        sched.pretrain(&data);
-        let (rewards, last) = controller.online_learn(
-            &mut sched,
-            &mut env,
-            &sc.app.workload,
-            rr.clone(),
-            cfg.online_epochs,
-        );
-        assert_eq!(rewards.len(), cfg.online_epochs);
-        sched.freeze();
-        let solution = controller.decide(&mut sched, &last, &sc.app.workload);
+        let out = train_drl::<ActorCriticScheduler, _>(&sc.app, &sc.cluster, &cfg, &mut env);
+        assert_eq!(out.rewards.unwrap().len(), cfg.online_epochs);
+        let (rr, solution) = (sc.initial_assignment(), out.solution);
 
         // Both scripted crashes completed as failovers (generation bumps
         // observed through resume probes), and the typed counters agree.

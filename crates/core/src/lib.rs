@@ -31,13 +31,15 @@
 //!   round-robin, a random scheduler (offline data collection), the
 //!   model-based SVR baseline of Li et al. (TBD'16), the DQN-based DRL
 //!   method, and the paper's actor-critic DRL method;
-//! * [`controller`] — offline training (10,000 random-action samples) and
-//!   online learning (Algorithm 1) loops, backend-generic;
-//! * [`parallel`] — the backend-generic parallel-actor collector (N
-//!   private environments, one learner, sharded replay);
-//! * [`experiment`] — runners that regenerate every evaluation figure
-//!   (6–12) and the headline summary table, plus backend-selectable
-//!   training ([`experiment::Backend`]).
+//! * [`controller`] — the offline phase (10,000 random-action samples)
+//!   and one decision epoch of online learning, backend-generic;
+//! * [`parallel`] — the rollout actor and the backend-generic
+//!   parallel-actor collector (N private environments, one learner,
+//!   sharded replay);
+//! * [`experiment`] — the one Algorithm-1 training driver
+//!   ([`experiment::train_drl_with`]) behind backend-selectable training
+//!   ([`experiment::Backend`]), and the runners that regenerate every
+//!   evaluation figure (6–12) and the headline summary table.
 
 pub mod action;
 pub mod checkpoint;
@@ -58,11 +60,11 @@ pub use env::{
     AnalyticEnv, ClusterEnv, ClusterTransport, DegradedReason, Environment, SimEnv, TransitionStore,
 };
 pub use experiment::{train_method_durable, DurableOptions, DurableRun};
-pub use parallel::{ActorSetup, ParallelCollector, RoundPlan};
+pub use parallel::{Actor, ActorSetup, ParallelCollector, RoundPlan};
 pub use reward::RewardScale;
 pub use scenario::{analytic_fleet, cluster_fleet, sim_fleet, Scenario};
 pub use scheduler::{
-    ActorCriticScheduler, DqnScheduler, ModelBasedScheduler, RandomScheduler, RoundRobinScheduler,
-    Scheduler,
+    ActorCriticScheduler, DqnScheduler, DrlScheduler, ModelBasedScheduler, RandomScheduler,
+    RoundRobinScheduler, Scheduler,
 };
 pub use state::SchedState;

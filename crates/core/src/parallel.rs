@@ -42,8 +42,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dss_rl::{
-    ActScratch, ActionMapper, DdpgAgent, Elem, HierarchicalMapper, KBestMapper, ScalableMapper,
-    Scalar, ShardedReplayBuffer,
+    ActScratch, ActionMapper, CandidateAction, DdpgAgent, Elem, HierarchicalMapper, KBestMapper,
+    ScalableMapper, Scalar, ShardedReplayBuffer,
 };
 use dss_sim::{AnalyticModel, Assignment, ClusterSpec, SimConfig, Topology, Workload};
 
@@ -87,15 +87,15 @@ pub struct ActorSetup<E> {
     pub initial: Assignment,
 }
 
-/// One actor: a private environment plus everything needed to run the
-/// agent's decision loop without touching shared mutable state — the
-/// decision half of a step (featurize → actor infer → noise → K-NN →
-/// critic argmax) runs entirely through per-actor reused buffers
-/// ([`ActScratch`], the feature vectors, the mapper's k-best workspace),
-/// and the storage half copies rows straight into the replay's
-/// structure-of-arrays slabs, so a warm rollout step performs zero heap
-/// allocations.
-struct Actor<E> {
+/// One rollout actor: a private environment plus everything needed to
+/// run the act half of Algorithm 1 without touching shared mutable state.
+/// [`ParallelCollector`] steps a fleet of them under a shared agent, a
+/// rollout worker of the async service steps one under its policy
+/// replica; the seed derivation, the mapper knobs and the order of a step
+/// are here, once. Features, mapper workspace and the caller's act
+/// scratch are reused buffers and the transition is stored as row slices,
+/// so a warm step allocates nothing beyond the deployed [`Assignment`].
+pub struct Actor<E> {
     env: E,
     mapper: ScalableMapper,
     rng: StdRng,
@@ -108,21 +108,90 @@ struct Actor<E> {
     features: Vec<Elem>,
     /// Reused next-state-feature buffer.
     next_features: Vec<Elem>,
-    /// Reused act-path scratch (`DdpgAgent::select_action_into`).
-    act: ActScratch,
-    /// Sum of rewards collected in the last round.
-    round_reward: f64,
+    rate_scale: f64,
+    reward: RewardScale,
+}
+
+impl<E: Environment> Actor<E> {
+    /// Actor `id` of a fleet: its exploration RNG is seeded from
+    /// `cfg.seed` and `id`, so a fleet is reproducible and its actors
+    /// decorrelated whichever driver steps them.
+    pub fn new(id: usize, setup: ActorSetup<E>, cfg: &ControlConfig) -> Self {
+        Self {
+            mapper: ScalableMapper::from_knobs(
+                setup.env.n_executors(),
+                setup.env.n_machines(),
+                cfg.mapper_groups,
+                cfg.mapper_prune,
+            ),
+            rng: StdRng::seed_from_u64(cfg.seed ^ (0xAC70 + id as u64)),
+            current: setup.initial,
+            env: setup.env,
+            observed: setup.workload.clone(),
+            workload: setup.workload,
+            features: Vec::new(),
+            next_features: Vec::new(),
+            rate_scale: cfg.rate_scale,
+            reward: RewardScale {
+                per_ms: cfg.reward_per_ms,
+            },
+        }
+    }
+
+    /// The actor's environment.
+    pub fn env(&self) -> &E {
+        &self.env
+    }
+
+    /// One decision epoch: featurize → `decide` → deploy → reward →
+    /// re-read the multiplier → featurize the successor → `store`.
+    /// `decide` picks one of the mapper's candidates for the state
+    /// features under whatever policy the caller holds; `store` receives
+    /// `(state, one-hot action, reward, next state)`. Returns the reward.
+    pub fn step<'c>(
+        &mut self,
+        decide: impl FnOnce(&[Elem], &mut ScalableMapper, &mut StdRng) -> &'c CandidateAction,
+        store: impl FnOnce(&[Elem], &[Elem], f64, &[Elem]),
+    ) -> f64 {
+        // The workload the agent observes this epoch: the scenario's
+        // base rates under the backend's current schedule multiplier.
+        let mult = self.env.workload_multiplier();
+        self.observed.copy_scaled_from(&self.workload, mult);
+        featurize_into(
+            &self.current,
+            &self.observed,
+            self.rate_scale,
+            &mut self.features,
+        );
+        let cand = decide(&self.features, &mut self.mapper, &mut self.rng);
+        let action = choice_to_assignment(&cand.choice, self.current.n_machines())
+            .expect("mapper candidates are feasible");
+        let latency = self.env.deploy_and_measure(&action, &self.workload);
+        let r = self.reward.reward(latency);
+        // The epoch just advanced: s' carries the load the next decision
+        // will see (re-read, not the pre-epoch multiplier), so TD targets
+        // stay consistent across schedule changes.
+        let mult = self.env.workload_multiplier();
+        self.observed.copy_scaled_from(&self.workload, mult);
+        featurize_into(
+            &action,
+            &self.observed,
+            self.rate_scale,
+            &mut self.next_features,
+        );
+        store(&self.features, &cand.onehot, r, &self.next_features);
+        self.current = action;
+        r
+    }
 }
 
 /// Steps N independent environments concurrently and pushes their
 /// transitions into a [`ShardedReplayBuffer`] (shard `i` ← actor `i`).
 /// Generic over the backend `E` (see the module docs).
 pub struct ParallelCollector<E: Environment + Send = AnalyticEnv> {
-    actors: Vec<Actor<E>>,
+    /// Each actor with the act-path scratch its decisions run through.
+    actors: Vec<(Actor<E>, ActScratch)>,
     replay: ShardedReplayBuffer<Elem>,
-    rate_scale: f64,
-    reward: RewardScale,
-    n_machines: usize,
 }
 
 impl<E: Environment + Send> ParallelCollector<E> {
@@ -144,45 +213,27 @@ impl<E: Environment + Send> ParallelCollector<E> {
         mut factory: impl FnMut(usize) -> ActorSetup<E>,
     ) -> Self {
         assert!(n_actors > 0, "need at least one actor");
-        let actors: Vec<Actor<E>> = (0..n_actors)
-            .map(|i| {
-                let setup = factory(i);
-                let observed = setup.workload.clone();
-                Actor {
-                    mapper: ScalableMapper::from_knobs(
-                        setup.env.n_executors(),
-                        setup.env.n_machines(),
-                        cfg.mapper_groups,
-                        cfg.mapper_prune,
-                    ),
-                    rng: StdRng::seed_from_u64(cfg.seed ^ (0xAC70 + i as u64)),
-                    current: setup.initial,
-                    env: setup.env,
-                    workload: setup.workload,
-                    observed,
-                    features: Vec::new(),
-                    next_features: Vec::new(),
-                    act: ActScratch::default(),
-                    round_reward: 0.0,
-                }
-            })
+        let actors: Vec<(Actor<E>, ActScratch)> = (0..n_actors)
+            .map(|i| (Actor::new(i, factory(i), cfg), ActScratch::default()))
             .collect();
-        let n = actors[0].env.n_executors();
-        let m = actors[0].env.n_machines();
-        let n_sources = actors[0].workload.rates().len();
-        for (i, a) in actors.iter().enumerate() {
-            assert_eq!(a.env.n_executors(), n, "actor {i}: executor count");
-            assert_eq!(a.env.n_machines(), m, "actor {i}: machine count");
-            assert_eq!(a.workload.rates().len(), n_sources, "actor {i}: sources");
+        let shape = |a: &Actor<E>| {
+            (
+                a.env.n_executors(),
+                a.env.n_machines(),
+                a.workload.rates().len(),
+            )
+        };
+        let (n, m, n_sources) = shape(&actors[0].0);
+        for (i, (a, _)) in actors.iter().enumerate() {
+            assert_eq!(
+                shape(a),
+                (n, m, n_sources),
+                "actor {i}: (executors, machines, sources)"
+            );
         }
         Self {
             actors,
             replay: ShardedReplayBuffer::new(n_actors, shard_capacity, n * m + n_sources, n * m),
-            rate_scale: cfg.rate_scale,
-            reward: RewardScale {
-                per_ms: cfg.reward_per_ms,
-            },
-            n_machines: m,
         }
     }
 
@@ -199,81 +250,44 @@ impl<E: Environment + Send> ParallelCollector<E> {
 
     /// Read access to actor `i`'s environment (inspection in tests/benches).
     pub fn env(&self, actor: usize) -> &E {
-        &self.actors[actor].env
+        self.actors[actor].0.env()
     }
 
-    /// One collection round: every actor runs `steps` decision epochs of
-    /// Algorithm 1's act half (proto-action → ε-noise → K-NN → critic
-    /// argmax → deploy → measure), in parallel on the current [`workpool`]
-    /// pool, pushing each transition into its own shard. The agent is
-    /// shared read-only; training happens between rounds on the learner
-    /// side. Returns the per-actor summed rewards for the round.
+    /// One collection round: every actor runs `steps` decision epochs
+    /// ([`Actor::step`]) under `agent` at exploration `eps`, in parallel
+    /// on the current [`workpool`] pool, pushing each transition into its
+    /// own shard. The agent is shared read-only; training happens between
+    /// rounds on the learner side. Returns the per-actor summed rewards
+    /// for the round.
     pub fn collect_round(&mut self, agent: &DdpgAgent, eps: f64, steps: usize) -> Vec<f64> {
         let replay = &self.replay;
-        let (rate_scale, reward, n_machines) = (self.rate_scale, self.reward, self.n_machines);
+        let mut rewards = vec![0.0; self.actors.len()];
         workpool::with_current(|pool| {
             pool.scope(|s| {
-                for (shard, actor) in self.actors.iter_mut().enumerate() {
+                for (shard, ((actor, act), total)) in
+                    self.actors.iter_mut().zip(&mut rewards).enumerate()
+                {
                     s.spawn(move || {
-                        actor.round_reward = 0.0;
                         for _ in 0..steps {
-                            // The workload the agent observes this epoch:
-                            // the scenario's base rates under the
-                            // backend's current schedule multiplier.
-                            let mult = actor.env.workload_multiplier();
-                            actor.observed.copy_scaled_from(&actor.workload, mult);
-                            // Decision half — allocation-free once warm:
-                            // featurize into the actor's buffer, then run
-                            // the whole act path through its scratch.
-                            featurize_into(
-                                &actor.current,
-                                &actor.observed,
-                                rate_scale,
-                                &mut actor.features,
+                            let act = &mut *act;
+                            *total += actor.step(
+                                move |features, mapper, rng| {
+                                    let best =
+                                        agent.select_action_into(features, mapper, eps, rng, act);
+                                    &act.cands[best]
+                                },
+                                // Three row copies straight into the
+                                // shard's structure-of-arrays slabs.
+                                |s, a, r, next| {
+                                    replay.push_rows(shard, s, a, Elem::from_f64(r), next)
+                                },
                             );
-                            let best = agent.select_action_into(
-                                &actor.features,
-                                &mut actor.mapper,
-                                eps,
-                                &mut actor.rng,
-                                &mut actor.act,
-                            );
-                            let cand = &actor.act.cands[best];
-                            let action = choice_to_assignment(&cand.choice, n_machines)
-                                .expect("mapper candidates are feasible");
-                            let latency = actor.env.deploy_and_measure(&action, &actor.workload);
-                            let r = reward.reward(latency);
-                            // The epoch just advanced: s' carries the load
-                            // the next decision will see (re-read, not the
-                            // pre-epoch multiplier), so TD targets stay
-                            // consistent across schedule changes.
-                            let mult = actor.env.workload_multiplier();
-                            actor.observed.copy_scaled_from(&actor.workload, mult);
-                            featurize_into(
-                                &action,
-                                &actor.observed,
-                                rate_scale,
-                                &mut actor.next_features,
-                            );
-                            // Storage half: three row copies straight into
-                            // the shard's structure-of-arrays slabs — the
-                            // ring owns flat storage, so nothing here
-                            // allocates.
-                            replay.push_rows(
-                                shard,
-                                &actor.features,
-                                &cand.onehot,
-                                Elem::from_f64(r),
-                                &actor.next_features,
-                            );
-                            actor.current = action;
-                            actor.round_reward += r;
                         }
                     });
                 }
             });
         });
-        self.actors.iter().map(|a| a.round_reward).collect()
+        rewards
     }
 
     /// Parallel online learning: alternates collection rounds with

@@ -33,7 +33,8 @@ use dss_sim::{
 };
 
 use crate::config::ControlConfig;
-use crate::env::{AnalyticEnv, ClusterEnv, ClusterTransport, SimEnv};
+use crate::env::{AnalyticEnv, ClusterEnv, ClusterTransport, Environment, SimEnv};
+use crate::experiment::Backend;
 use crate::parallel::{ActorSetup, ParallelCollector};
 use crate::state::SchedState;
 
@@ -334,6 +335,22 @@ impl Scenario {
         Assignment::round_robin(&self.app.topology, &self.cluster)
     }
 
+    /// This scenario's training environment on a backend chosen at run
+    /// time — [`Scenario::analytic_env`], [`Scenario::sim_env`] or
+    /// [`Scenario::cluster_env`] behind one type.
+    pub fn env(
+        &self,
+        backend: Backend,
+        cfg: &ControlConfig,
+        seed: u64,
+    ) -> Box<dyn Environment + Send> {
+        match backend {
+            Backend::Analytic => Box::new(self.analytic_env(cfg, seed)),
+            Backend::Sim => Box::new(self.sim_env(cfg, seed)),
+            Backend::Cluster => Box::new(self.cluster_env(cfg, seed)),
+        }
+    }
+
     /// Analytic-backend environment for this scenario: measurement noise
     /// from `cfg`, the scenario's schedule driving a virtual clock at
     /// `cfg.sim_epoch_s` per decision. `seed` decorrelates parallel
@@ -530,7 +547,6 @@ fn assert_compatible(scenarios: &[Scenario]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::Environment;
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {

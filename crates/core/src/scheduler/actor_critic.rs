@@ -5,7 +5,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dss_rl::{
-    ActScratch, DdpgAgent, DdpgConfig, Elem, EpsilonSchedule, ScalableMapper, Scalar, Transition,
+    ActScratch, DdpgAgent, DdpgConfig, Elem, EpsilonSchedule, ScalableMapper, Scalar,
+    ShardedReplayBuffer, Transition,
 };
 use dss_sim::Assignment;
 
@@ -13,8 +14,9 @@ use crate::action::choice_to_assignment;
 use crate::checkpoint::{CheckpointError, Dec, Enc};
 use crate::config::ControlConfig;
 use crate::controller::OfflineDataset;
+use crate::experiment::Method;
 use crate::reward::RewardScale;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{DrlScheduler, RandomMode, Scheduler};
 use crate::state::SchedState;
 
 /// Elite candidates remembered from the transition database and re-ranked
@@ -62,17 +64,10 @@ impl ActorCriticScheduler {
         n_sources: usize,
         config: &ControlConfig,
     ) -> Self {
-        let state_dim = SchedState::feature_dim(n_executors, n_machines, n_sources);
-        let action_dim = n_executors * n_machines;
         let agent = DdpgAgent::new(
-            state_dim,
-            action_dim,
-            DdpgConfig {
-                k: config.k,
-                seed: config.seed,
-                gamma: config.gamma,
-                ..DdpgConfig::default()
-            },
+            SchedState::feature_dim(n_executors, n_machines, n_sources),
+            n_executors * n_machines,
+            Self::agent_config(config),
         );
         Self {
             agent,
@@ -97,8 +92,20 @@ impl ActorCriticScheduler {
         }
     }
 
-    /// Records an action/reward pair in the elite memory.
-    fn remember_elite(&mut self, reward: f64, assignment: &Assignment) {
+    /// The agent hyperparameters a control config implies; policy
+    /// replicas that apply this scheduler's weights derive theirs here too.
+    pub fn agent_config(config: &ControlConfig) -> DdpgConfig {
+        DdpgConfig {
+            k: config.k,
+            seed: config.seed,
+            gamma: config.gamma,
+            ..DdpgConfig::default()
+        }
+    }
+
+    /// Records an action/reward pair in the elite memory (`observe` and
+    /// `pretrain` do; so does a learner fed transitions from elsewhere).
+    pub fn remember_elite(&mut self, reward: f64, assignment: &Assignment) {
         if self.elite.iter().any(|(_, a)| a == assignment) {
             return;
         }
@@ -107,6 +114,18 @@ impl ActorCriticScheduler {
         if self.elite.len() > ELITE_SIZE {
             self.elite.remove(0);
         }
+    }
+
+    /// The elite memory: `(reward, assignment)`, ascending by reward.
+    pub fn elite(&self) -> &[(f64, Assignment)] {
+        &self.elite
+    }
+
+    /// The train half of `observe` off an external sharded replay instead
+    /// of the agent's own ring (`None` while `replay` is empty).
+    pub fn train_step_from(&mut self, replay: &ShardedReplayBuffer<Elem>) -> Option<f64> {
+        self.agent
+            .train_step_from(replay, &mut self.mapper, &mut self.rng)
     }
 
     /// Switches to greedy, non-learning deployment mode.
@@ -156,18 +175,26 @@ impl ActorCriticScheduler {
         }
         *out = e.buf;
     }
+}
 
-    /// Rebuilds a scheduler from a [`ActorCriticScheduler::save_state`]
-    /// image. The problem shape and config must match the run that saved
-    /// it (config-derived fields are reconstructed, not serialized).
-    pub fn restore_state(
+impl DrlScheduler for ActorCriticScheduler {
+    const METHOD: Method = Method::ActorCritic;
+    const OFFLINE_MODE: RandomMode = RandomMode::FullRandom;
+
+    fn new(n_executors: usize, n_machines: usize, n_sources: usize, cfg: &ControlConfig) -> Self {
+        Self::new(n_executors, n_machines, n_sources, cfg)
+    }
+
+    /// The problem shape and config must match the run that saved the
+    /// image (config-derived fields are reconstructed, not serialized).
+    fn restore_state(
         n_executors: usize,
         n_machines: usize,
         n_sources: usize,
-        config: &ControlConfig,
+        cfg: &ControlConfig,
         bytes: &[u8],
     ) -> Result<Self, CheckpointError> {
-        let mut base = Self::new(n_executors, n_machines, n_sources, config);
+        let mut base = Self::new(n_executors, n_machines, n_sources, cfg);
         let mut d = Dec::new(bytes);
         let agent = DdpgAgent::restore_state(d.bytes()?)
             .map_err(|e| CheckpointError::Scheduler(e.to_string()))?;
@@ -192,6 +219,14 @@ impl ActorCriticScheduler {
         base.elite = elite;
         d.done()?;
         Ok(base)
+    }
+
+    fn save_state_into(&self, out: &mut Vec<u8>) {
+        self.save_state_into(out);
+    }
+
+    fn freeze(&mut self) {
+        self.freeze();
     }
 }
 

@@ -12,8 +12,9 @@ use crate::action::{apply_move, encode_move};
 use crate::checkpoint::{CheckpointError, Dec, Enc};
 use crate::config::ControlConfig;
 use crate::controller::OfflineDataset;
+use crate::experiment::Method;
 use crate::reward::RewardScale;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{DrlScheduler, RandomMode, Scheduler};
 use crate::state::SchedState;
 
 /// DQN over `N·M` single-move actions.
@@ -113,18 +114,27 @@ impl DqnScheduler {
         e.u8(self.frozen as u8);
         *out = e.buf;
     }
+}
 
-    /// Rebuilds a scheduler from a [`DqnScheduler::save_state`] image.
-    /// The problem shape and config must match the run that saved it
-    /// (config-derived fields are reconstructed, not serialized).
-    pub fn restore_state(
+impl DrlScheduler for DqnScheduler {
+    const METHOD: Method = Method::Dqn;
+    /// A random walk through the single-move action space.
+    const OFFLINE_MODE: RandomMode = RandomMode::RandomWalk;
+
+    fn new(n_executors: usize, n_machines: usize, n_sources: usize, cfg: &ControlConfig) -> Self {
+        Self::new(n_executors, n_machines, n_sources, cfg)
+    }
+
+    /// The problem shape and config must match the run that saved the
+    /// image (config-derived fields are reconstructed, not serialized).
+    fn restore_state(
         n_executors: usize,
         n_machines: usize,
         n_sources: usize,
-        config: &ControlConfig,
+        cfg: &ControlConfig,
         bytes: &[u8],
     ) -> Result<Self, CheckpointError> {
-        let mut base = Self::new(n_executors, n_machines, n_sources, config);
+        let mut base = Self::new(n_executors, n_machines, n_sources, cfg);
         let mut d = Dec::new(bytes);
         let agent = DqnAgent::restore_state(d.bytes()?)
             .map_err(|e| CheckpointError::Scheduler(e.to_string()))?;
@@ -149,6 +159,20 @@ impl DqnScheduler {
         };
         d.done()?;
         Ok(base)
+    }
+
+    fn save_state_into(&self, out: &mut Vec<u8>) {
+        self.save_state_into(out);
+    }
+
+    fn freeze(&mut self) {
+        self.freeze();
+    }
+
+    /// Each greedy decision moves one thread, so the deployable solution
+    /// is a single-move rollout from the online endpoint.
+    fn final_decisions(n_executors: usize) -> usize {
+        2 * n_executors
     }
 }
 

@@ -24,7 +24,10 @@ pub use round_robin::RoundRobinScheduler;
 
 use dss_sim::Assignment;
 
+use crate::checkpoint::CheckpointError;
+use crate::config::ControlConfig;
 use crate::controller::OfflineDataset;
+use crate::experiment::Method;
 use crate::state::SchedState;
 
 /// A scheduling method: proposes assignments and (optionally) learns from
@@ -50,5 +53,42 @@ pub trait Scheduler {
     /// Offline pre-training on collected samples. Default: no-op.
     fn pretrain(&mut self, dataset: &OfflineDataset) {
         let _ = dataset;
+    }
+}
+
+/// A learning scheduler as the one training driver
+/// ([`crate::experiment::train_drl_with`]) sees it: everything in which
+/// the DQN and actor-critic arms of Algorithm 1 differ.
+pub trait DrlScheduler: Scheduler + Sized + 'static {
+    /// The compared method this scheduler implements.
+    const METHOD: Method;
+    /// Action distribution of the offline samples it pretrains on.
+    const OFFLINE_MODE: RandomMode;
+
+    /// An untrained scheduler for the given problem shape.
+    fn new(n_executors: usize, n_machines: usize, n_sources: usize, cfg: &ControlConfig) -> Self;
+
+    /// Rebuilds a scheduler from a [`DrlScheduler::save_state_into`]
+    /// image taken under the same shape and config.
+    fn restore_state(
+        n_executors: usize,
+        n_machines: usize,
+        n_sources: usize,
+        cfg: &ControlConfig,
+        bytes: &[u8],
+    ) -> Result<Self, CheckpointError>;
+
+    /// Serializes every mutable field into `out` (cleared first), so a
+    /// restored scheduler continues the training trajectory bit for bit.
+    fn save_state_into(&self, out: &mut Vec<u8>);
+
+    /// Switches to greedy, non-learning deployment mode.
+    fn freeze(&mut self);
+
+    /// Greedy decisions that lead from the online endpoint to the
+    /// deployable solution: one when an action is a full assignment.
+    fn final_decisions(n_executors: usize) -> usize {
+        let _ = n_executors;
+        1
     }
 }

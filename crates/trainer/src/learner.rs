@@ -6,18 +6,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use dss_core::action::choice_to_assignment;
 use dss_core::config::ControlConfig;
 use dss_core::controller::OfflineDataset;
-use dss_core::reward::RewardScale;
-use dss_core::state::{featurize_into, SchedState};
+use dss_core::scheduler::{ActorCriticScheduler, Scheduler};
+use dss_core::state::SchedState;
 use dss_metrics::TimeSeries;
-use dss_rl::{
-    ActScratch, DdpgAgent, DdpgConfig, Elem, ScalableMapper, Scalar, ShardedReplayBuffer,
-};
+use dss_rl::{DdpgAgent, Elem, Scalar, ShardedReplayBuffer};
 use dss_sim::{Assignment, Workload};
 
 use crate::batch::TransitionRows;
@@ -25,20 +20,20 @@ use crate::ps::ParameterServer;
 use crate::queue::BoundedQueue;
 use crate::stats::SharedStats;
 
-/// Best-rewarded pushed actions remembered for the final decision — the
-/// async twin of the actor-critic scheduler's elite memory.
-const ELITE_SIZE: usize = 12;
-
-/// Owns the training agent, the sharded replay, and the publish loop.
+/// Owns the training scheduler, the sharded replay, and the publish loop.
 ///
-/// The staleness gate runs **before** anything else touches learner
-/// state: a dropped batch consumes no RNG draws and writes no replay
-/// rows, so filtering stale experience can never perturb the training
-/// trajectory of the surviving stream (unit-tested below).
+/// The agent core — networks, mapper, RNG, elite memory, pretraining and
+/// the greedy final decision — is the [`ActorCriticScheduler`] the
+/// lockstep drivers train; the learner only changes where transitions
+/// come from (worker batches in a sharded replay instead of `observe`)
+/// and where the policy goes (the parameter server).
+///
+/// The ingest gates run **before** anything else touches learner state:
+/// a dropped batch consumes no RNG draws and writes no replay rows, so
+/// filtering stale or misshapen experience can never perturb the
+/// training trajectory of the surviving stream (unit-tested below).
 pub struct Learner {
-    agent: DdpgAgent,
-    mapper: ScalableMapper,
-    rng: StdRng,
+    sched: ActorCriticScheduler,
     replay: Arc<ShardedReplayBuffer<Elem>>,
     ps: Arc<ParameterServer>,
     stats: Arc<SharedStats>,
@@ -47,22 +42,14 @@ pub struct Learner {
     rollout_quant: bool,
     next_shard: usize,
     n_machines: usize,
-    rate_scale: f64,
-    reward: RewardScale,
-    offline_steps: usize,
     rewards: TimeSeries,
-    /// `(reward, action)` of the best pushed transitions, ascending.
-    elite: Vec<(f64, Assignment)>,
     row_state: Vec<Elem>,
     row_action: Vec<Elem>,
     row_next: Vec<Elem>,
 }
 
 impl Learner {
-    /// Builds the learner for a problem shape. The agent is constructed
-    /// exactly like [`dss_core::scheduler::ActorCriticScheduler`]'s
-    /// (same `DdpgConfig` derivation, same seed), so lockstep and async
-    /// modes optimize the same model family.
+    /// Builds the learner for a problem shape.
     ///
     /// # Panics
     /// Panics when `replay`'s row widths disagree with the problem shape
@@ -84,25 +71,8 @@ impl Learner {
         assert_eq!(replay.state_dim(), state_dim, "replay state width");
         assert_eq!(replay.action_dim(), action_dim, "replay action width");
         assert!(publish_every > 0, "publish period must be positive");
-        let agent = DdpgAgent::new(
-            state_dim,
-            action_dim,
-            DdpgConfig {
-                k: cfg.k,
-                seed: cfg.seed,
-                gamma: cfg.gamma,
-                ..DdpgConfig::default()
-            },
-        );
         Self {
-            agent,
-            mapper: ScalableMapper::from_knobs(
-                n_executors,
-                n_machines,
-                cfg.mapper_groups,
-                cfg.mapper_prune,
-            ),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xAC),
+            sched: ActorCriticScheduler::new(n_executors, n_machines, n_sources, cfg),
             replay,
             ps,
             stats,
@@ -111,13 +81,7 @@ impl Learner {
             rollout_quant: cfg.rollout_quant,
             next_shard: 0,
             n_machines,
-            rate_scale: cfg.rate_scale,
-            reward: RewardScale {
-                per_ms: cfg.reward_per_ms,
-            },
-            offline_steps: cfg.offline_steps,
             rewards: TimeSeries::new(),
-            elite: Vec::new(),
             row_state: Vec::new(),
             row_action: Vec::new(),
             row_next: Vec::new(),
@@ -126,7 +90,7 @@ impl Learner {
 
     /// The training agent.
     pub fn agent(&self) -> &DdpgAgent {
-        &self.agent
+        self.sched.agent()
     }
 
     /// Per-batch mean rewards in arrival order.
@@ -140,51 +104,37 @@ impl Learner {
     /// itself keeps training in full precision — quantization happens
     /// only at the publish boundary).
     pub fn publish(&mut self) -> u64 {
+        let agent = self.sched.agent();
         let version = if self.rollout_quant {
-            self.ps.publish_pair(
-                self.agent.save_policy(),
-                self.agent.rollout_quant_policy().encode(),
-            )
+            self.ps
+                .publish_pair(agent.save_policy(), agent.rollout_quant_policy().encode())
         } else {
-            self.ps.publish(self.agent.save_policy())
+            self.ps.publish(agent.save_policy())
         };
         self.stats.set_weight_version(version);
         version
     }
 
     /// Seeds the agent and elite memory from an offline dataset — the
-    /// same pretraining [`dss_core::scheduler::ActorCriticScheduler`]
-    /// runs before its online phase, so async runs start from the
-    /// paper's offline policy rather than random networks.
+    /// scheduler's own pretraining, so async runs start from the paper's
+    /// offline policy rather than random networks.
     pub fn pretrain(&mut self, dataset: &OfflineDataset) {
-        for s in &dataset.samples {
-            let r = self.reward.reward(s.latency_ms);
-            self.remember_elite(r, s.action.clone());
-        }
-        let transitions = dataset.ddpg_transitions(self.rate_scale, self.reward);
-        self.agent.pretrain(
-            transitions,
-            self.offline_steps,
-            &mut self.mapper,
-            &mut self.rng,
-        );
+        self.sched.pretrain(dataset);
     }
 
-    /// Ingests one batch into the replay. The staleness gate comes
-    /// first: a batch collected more than `max_version_lag` publishes
-    /// ago is counted and dropped before any replay write or RNG use.
-    /// Returns whether the batch was accepted.
+    /// Ingests one batch into the replay. Two gates come first; a batch
+    /// either drops is counted and touches neither replay nor RNG: row
+    /// widths that are not this learner's (a remote worker started for a
+    /// differently shaped scenario — the frame decoder only checks a
+    /// batch against itself), and collection more than `max_version_lag`
+    /// publishes ago. Returns whether the batch was accepted.
     pub fn ingest(&mut self, batch: &TransitionRows) -> bool {
-        assert_eq!(
-            batch.state_dim,
-            self.replay.state_dim(),
-            "batch state width"
-        );
-        assert_eq!(
-            batch.action_dim,
-            self.replay.action_dim(),
-            "batch action width"
-        );
+        if (batch.state_dim, batch.action_dim)
+            != (self.replay.state_dim(), self.replay.action_dim())
+        {
+            self.stats.record_misshapen(batch.rows() as u64);
+            return false;
+        }
         let lag = self.ps.version().saturating_sub(batch.version);
         if lag > self.max_version_lag {
             self.stats.record_stale(batch.rows() as u64);
@@ -216,7 +166,8 @@ impl Learner {
         }
         if let Some((r, row)) = best {
             let action = &batch.actions[row * ad..(row + 1) * ad];
-            self.remember_elite(r, assignment_from_onehot(action, self.n_machines));
+            self.sched
+                .remember_elite(r, &assignment_from_onehot(action, self.n_machines));
         }
         if !batch.is_empty() {
             self.next_shard = (self.next_shard + 1) % self.replay.n_shards();
@@ -227,25 +178,12 @@ impl Learner {
         true
     }
 
-    fn remember_elite(&mut self, reward: f64, action: Assignment) {
-        if self.elite.iter().any(|(_, a)| *a == action) {
-            return;
-        }
-        let pos = self.elite.partition_point(|(r, _)| *r < reward);
-        self.elite.insert(pos, (reward, action));
-        if self.elite.len() > ELITE_SIZE {
-            self.elite.remove(0);
-        }
-    }
-
     /// One minibatch update off the replay (None while it is empty),
     /// with the training window flagged for overlap accounting and a
     /// policy publish every `publish_every` completed steps.
     pub fn train_once(&mut self) -> Option<f64> {
         self.stats.set_training(true);
-        let loss = self
-            .agent
-            .train_step_from(&self.replay, &mut self.mapper, &mut self.rng);
+        let loss = self.sched.train_step_from(&self.replay);
         self.stats.set_training(false);
         if loss.is_some() {
             let steps = self.stats.add_train_step();
@@ -287,28 +225,13 @@ impl Learner {
         self.publish();
     }
 
-    /// Greedy final decision: the actor's proto-action mapped through the
-    /// K-NN candidates plus the elite memory of best pushed actions, all
-    /// ranked by the trained critic in one
-    /// [`DdpgAgent::select_action_among`] call — the same decision the
-    /// frozen actor-critic scheduler takes.
+    /// Greedy final decision — the frozen scheduler's: the actor's
+    /// proto-action mapped through the K-NN candidates plus the elite
+    /// memory of best pushed actions, all ranked by the trained critic.
     pub fn finalize(&mut self, initial: &Assignment, workload: &Workload) -> Assignment {
-        let mut features = Vec::new();
-        featurize_into(initial, workload, self.rate_scale, &mut features);
-        let mut act = ActScratch::default();
-        let (best, _) = self.agent.select_action_among(
-            &features,
-            &mut self.mapper,
-            0.0,
-            &mut self.rng,
-            self.elite.iter().map(|(_, a)| a.as_slice()),
-            &mut act,
-        );
-        match best.checked_sub(act.cands.len()) {
-            Some(elite) => self.elite[elite].1.clone(),
-            None => choice_to_assignment(&act.cands[best].choice, self.n_machines)
-                .expect("mapper candidates are feasible"),
-        }
+        self.sched.freeze();
+        self.sched
+            .schedule(&SchedState::new(initial.clone(), workload.clone()))
     }
 
     /// [`Learner::finalize`] plus a measured validation sweep: the
@@ -323,7 +246,7 @@ impl Learner {
         workload: &Workload,
     ) -> Assignment {
         let mut candidates = vec![self.finalize(initial, workload)];
-        for (_, a) in self.elite.iter().rev() {
+        for (_, a) in self.sched.elite().iter().rev() {
             if !candidates.contains(a) {
                 candidates.push(a.clone());
             }
@@ -396,7 +319,15 @@ mod tests {
 
     /// A deterministic synthetic batch stamped with `version`.
     fn synth_batch(version: u64, rows: usize, salt: f64) -> TransitionRows {
-        let (n, m, s) = shape();
+        synth_batch_of(shape(), version, rows, salt)
+    }
+
+    fn synth_batch_of(
+        (n, m, s): (usize, usize, usize),
+        version: u64,
+        rows: usize,
+        salt: f64,
+    ) -> TransitionRows {
         let state_dim = SchedState::feature_dim(n, m, s);
         let mut batch = TransitionRows::new(version, state_dim, n * m);
         for row in 0..rows {
@@ -438,6 +369,35 @@ mod tests {
             run(false),
             run(true),
             "dropping stale experience must not perturb the learner's trajectory"
+        );
+    }
+
+    #[test]
+    fn misshapen_batches_are_counted_and_dropped_without_touching_the_rng() {
+        // As above, but B's extra batch comes from a worker collecting
+        // for a scenario with one more executor: self-consistent (the
+        // frame decoder accepts it), just not this learner's shape.
+        let run = |inject_foreign: bool| {
+            let mut l = learner(u64::MAX);
+            l.publish();
+            assert!(l.ingest(&synth_batch(1, 6, 0.0)));
+            if inject_foreign {
+                let (n, m, s) = shape();
+                let foreign = synth_batch_of((n + 1, m, s), 1, 5, 9.0);
+                assert!(!l.ingest(&foreign), "foreign batch must be dropped");
+                assert_eq!(l.stats.dropped_misshapen(), 5);
+                assert_eq!(l.stats.transitions(), 6);
+                assert_eq!(l.replay.len(), 6);
+            }
+            let losses: Vec<u64> = (0..4)
+                .map(|_| l.train_once().expect("replay is non-empty").to_bits())
+                .collect();
+            losses
+        };
+        assert_eq!(
+            run(false),
+            run(true),
+            "dropping a foreign batch must not perturb the learner's trajectory"
         );
     }
 

@@ -32,12 +32,12 @@
 //!
 //! # Sync vs async
 //!
-//! * [`SyncMode::Lockstep`] runs the exact sequence of
-//!   [`dss_core::experiment::train_method`]'s actor-critic arm — same
-//!   controller calls, same RNG streams — and merely publishes the policy
-//!   to the [`ParameterServer`] between epochs (publishing reads the
-//!   networks, never the RNG), so its reward series and trained solution
-//!   are **bit-identical** to the classic path. CI pins that equivalence.
+//! * [`SyncMode::Lockstep`] runs the classic actor-critic path's own
+//!   driver ([`dss_core::experiment::train_drl_with`]) and only hooks a
+//!   policy publish to the [`ParameterServer`] between epochs (publishing
+//!   reads the networks, never the RNG), so its reward series and trained
+//!   solution are **bit-identical** to [`dss_core::experiment::train_method`]'s.
+//!   CI pins that equivalence.
 //! * [`SyncMode::Async`] spawns N workers, each owning a private
 //!   environment, exploration RNG and policy replica
 //!   ([`dss_rl::DdpgAgent::apply_policy`]); workers pull fresh weights

@@ -2,22 +2,21 @@
 //! serving loop for remote workers, and the separate-process worker
 //! runner.
 
+use std::convert::Infallible;
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use dss_apps::App;
 use dss_core::config::ControlConfig;
 use dss_core::controller::Controller;
 use dss_core::env::Environment;
-use dss_core::experiment::Backend;
+use dss_core::experiment::{train_drl_with, Backend};
 use dss_core::parallel::ActorSetup;
 use dss_core::scenario::Scenario;
-use dss_core::scheduler::{ActorCriticScheduler, RandomMode, RandomScheduler, Scheduler};
+use dss_core::scheduler::{ActorCriticScheduler, RandomMode};
 use dss_core::state::SchedState;
 use dss_metrics::TimeSeries;
 use dss_proto::{
@@ -36,9 +35,9 @@ use crate::worker::{LocalClient, RemoteClient, RolloutWorker, WeightsClient};
 /// How the service schedules collection against optimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
-    /// Deterministic CI mode: the exact call sequence of
-    /// [`dss_core::experiment::train_method`]'s actor-critic arm with
-    /// policy publishes interleaved — bit-identical rewards and solution.
+    /// Deterministic CI mode: the training driver of
+    /// [`dss_core::experiment::train_method`]'s actor-critic arm with a
+    /// policy publish between epochs — bit-identical rewards and solution.
     Lockstep,
     /// Rapid mode: N workers collect continuously while the learner
     /// trains and republishes concurrently.
@@ -122,98 +121,50 @@ pub fn train_service_on(
     link: &WorkerLink,
 ) -> ServiceOutcome {
     match tc.mode {
-        SyncMode::Lockstep => match backend {
-            Backend::Analytic => train_lockstep_with(&scenario.app, &scenario.cluster, cfg, || {
-                scenario.analytic_env(cfg, cfg.seed)
-            }),
-            Backend::Sim => train_lockstep_with(&scenario.app, &scenario.cluster, cfg, || {
-                scenario.sim_env(cfg, cfg.seed)
-            }),
-            Backend::Cluster => train_lockstep_with(&scenario.app, &scenario.cluster, cfg, || {
-                scenario.cluster_env(cfg, cfg.seed)
-            }),
-        },
-        SyncMode::Async => match backend {
-            Backend::Analytic => train_async_with(scenario, cfg, tc, link, |i| ActorSetup {
-                env: scenario.analytic_env(cfg, cfg.seed.wrapping_add(i as u64)),
-                workload: scenario.app.workload.clone(),
-                initial: scenario.initial_assignment(),
-            }),
-            Backend::Sim => train_async_with(scenario, cfg, tc, link, |i| ActorSetup {
-                env: scenario.sim_env(cfg, cfg.seed.wrapping_add(i as u64)),
-                workload: scenario.app.workload.clone(),
-                initial: scenario.initial_assignment(),
-            }),
-            Backend::Cluster => train_async_with(scenario, cfg, tc, link, |i| ActorSetup {
-                env: scenario.cluster_env(cfg, cfg.seed.wrapping_add(i as u64)),
-                workload: scenario.app.workload.clone(),
-                initial: scenario.initial_assignment(),
-            }),
-        },
+        SyncMode::Lockstep => train_lockstep_with(&scenario.app, &scenario.cluster, cfg, || {
+            scenario.env(backend, cfg, cfg.seed)
+        }),
+        SyncMode::Async => train_async_with(scenario, cfg, tc, link, |i| ActorSetup {
+            env: scenario.env(backend, cfg, cfg.seed.wrapping_add(i as u64)),
+            workload: scenario.app.workload.clone(),
+            initial: scenario.initial_assignment(),
+        }),
     }
 }
 
-/// Lockstep training over any backend: runs byte-for-byte the sequence
-/// of [`dss_core::experiment::train_method_with`]'s actor-critic arm
-/// (same controller calls, same RNG streams — `online_learn` is mirrored
-/// as its own `online_epoch` loop), publishing the policy to a
-/// [`ParameterServer`] after pretraining and after every epoch.
-/// Publishing only reads the networks, so the reward series and trained
-/// solution stay bit-identical to the classic path — the equivalence CI
-/// pins.
+/// Lockstep training over any backend:
+/// [`dss_core::experiment::train_drl_with`] — the loop the classic
+/// actor-critic path runs — with a between-epoch hook that publishes the
+/// policy to a [`ParameterServer`] after pretraining and after every
+/// epoch. The hook only reads the networks, so the reward series and
+/// trained solution are the classic path's bit for bit (the equivalence
+/// CI pins).
 pub fn train_lockstep_with<E: Environment>(
     app: &App,
     cluster: &ClusterSpec,
     cfg: &ControlConfig,
     make_env: impl Fn() -> E,
 ) -> ServiceOutcome {
-    let controller = Controller::new(*cfg);
-    let n = app.topology.n_executors();
-    let m = cluster.n_machines();
-    let n_sources = app.workload.rates().len();
-    let rr = Assignment::round_robin(&app.topology, cluster);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0);
     let ps = ParameterServer::new();
     let stats = SharedStats::new();
-
-    let mut env = make_env();
-    let mut collector =
-        RandomScheduler::new(RandomMode::FullRandom, StdRng::seed_from_u64(cfg.seed));
-    let data = controller.collect_offline(
-        &mut env,
-        &app.workload,
-        &mut collector,
-        rr.clone(),
-        &mut rng,
-    );
-    let mut sched = ActorCriticScheduler::new(n, m, n_sources, cfg);
-    sched.pretrain(&data);
-    stats.set_weight_version(ps.publish(sched.agent().save_policy()));
-
-    let mut rewards = TimeSeries::new();
-    let mut current = rr;
-    for t in 0..cfg.online_epochs {
-        current = controller.online_epoch(
-            &mut sched,
-            &mut env,
-            &app.workload,
-            current,
-            t,
-            &mut rewards,
-        );
+    let mut train_steps = 0;
+    let publish = |sched: &ActorCriticScheduler, _: &E, rewards: &TimeSeries, _: &Assignment| {
         stats.set_weight_version(ps.publish(sched.agent().save_policy()));
-        stats.record_accepted(0, 1);
-    }
-    sched.freeze();
-    let solution = controller.decide(&mut sched, &current, &app.workload);
-
-    for _ in 0..sched.agent().train_steps() {
+        if !rewards.is_empty() {
+            stats.record_accepted(0, 1);
+        }
+        train_steps = sched.agent().train_steps();
+        ControlFlow::<Infallible>::Continue(())
+    };
+    let ControlFlow::Continue(trained) =
+        train_drl_with(app, cluster, cfg, &mut make_env(), None, publish);
+    for _ in 0..train_steps {
         stats.add_train_step();
     }
     ServiceOutcome {
         mode: SyncMode::Lockstep,
-        rewards,
-        solution,
+        rewards: trained.rewards.expect("DRL training records rewards"),
+        solution: trained.solution,
         stats: stats.snapshot(),
     }
 }
@@ -263,18 +214,12 @@ where
     // the learner before any worker pulls. Version 1 is the offline
     // policy, not random networks.
     {
-        let setup = factory(0);
-        let mut env = setup.env;
-        let controller = Controller::new(*cfg);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE0);
-        let mut collector =
-            RandomScheduler::new(RandomMode::FullRandom, StdRng::seed_from_u64(cfg.seed));
-        let data = controller.collect_offline(
-            &mut env,
+        let mut setup = factory(0);
+        let data = Controller::new(*cfg).offline_phase(
+            &mut setup.env,
             &setup.workload,
-            &mut collector,
+            RandomMode::FullRandom,
             setup.initial,
-            &mut rng,
         );
         learner.pretrain(&data);
     }
@@ -473,28 +418,12 @@ pub fn run_remote_worker(
         .set_io_deadline(Some(Duration::from_millis(2000)))
         .map_err(|e| format!("deadline: {e}"))?;
     let client = RemoteClient::new(transport, Duration::from_millis(500));
-    let seed = cfg.seed.wrapping_add(worker_id as u64);
-    let setup_workload = scenario.app.workload.clone();
-    let initial = scenario.initial_assignment();
-    macro_rules! run {
-        ($env:expr) => {{
-            let mut worker = RolloutWorker::new(
-                worker_id,
-                ActorSetup {
-                    env: $env,
-                    workload: setup_workload,
-                    initial,
-                },
-                cfg,
-                client,
-            );
-            worker.run(rounds, steps_per_round);
-            Ok(worker.pushed_rows())
-        }};
-    }
-    match backend {
-        Backend::Analytic => run!(scenario.analytic_env(cfg, seed)),
-        Backend::Sim => run!(scenario.sim_env(cfg, seed)),
-        Backend::Cluster => run!(scenario.cluster_env(cfg, seed)),
-    }
+    let setup = ActorSetup {
+        env: scenario.env(backend, cfg, cfg.seed.wrapping_add(worker_id as u64)),
+        workload: scenario.app.workload.clone(),
+        initial: scenario.initial_assignment(),
+    };
+    let mut worker = RolloutWorker::new(worker_id, setup, cfg, client);
+    worker.run(rounds, steps_per_round);
+    Ok(worker.pushed_rows())
 }

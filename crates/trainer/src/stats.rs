@@ -30,6 +30,7 @@ pub struct SharedStats {
     transitions: AtomicU64,
     batches: AtomicU64,
     dropped_stale: AtomicU64,
+    dropped_misshapen: AtomicU64,
     pushes_during_train: AtomicU64,
     lag_sum: AtomicU64,
     lag_hist: [AtomicU64; LAG_BUCKETS],
@@ -54,6 +55,12 @@ impl SharedStats {
     /// Records a batch dropped by the staleness gate.
     pub fn record_stale(&self, rows: u64) {
         self.dropped_stale.fetch_add(rows, Ordering::Relaxed);
+    }
+
+    /// Records a batch dropped because its row widths are not the
+    /// learner's (a worker collecting for a differently shaped scenario).
+    pub fn record_misshapen(&self, rows: u64) {
+        self.dropped_misshapen.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// Called at enqueue time; counts the push when it lands inside a
@@ -97,6 +104,11 @@ impl SharedStats {
     /// Transitions dropped by the staleness gate.
     pub fn dropped_stale(&self) -> u64 {
         self.dropped_stale.load(Ordering::Relaxed)
+    }
+
+    /// Transitions dropped for having the wrong row widths.
+    pub fn dropped_misshapen(&self) -> u64 {
+        self.dropped_misshapen.load(Ordering::Relaxed)
     }
 
     /// Batch pushes that landed during a learner train step.

@@ -5,21 +5,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use dss_core::action::choice_to_assignment;
 use dss_core::config::ControlConfig;
 use dss_core::env::Environment;
-use dss_core::parallel::ActorSetup;
-use dss_core::reward::RewardScale;
-use dss_core::state::{featurize_into, SchedState};
+use dss_core::parallel::{Actor, ActorSetup};
+use dss_core::scheduler::ActorCriticScheduler;
+use dss_core::state::SchedState;
 use dss_proto::{Message, ProtoError, Transport};
 use dss_rl::{
     ActScratch, DdpgAgent, DdpgConfig, Elem, EpsilonSchedule, QuantActScratch, QuantPolicy,
-    ScalableMapper, ShardedReplayBuffer,
+    ShardedReplayBuffer,
 };
-use dss_sim::{Assignment, Workload};
 
 use crate::batch::TransitionRows;
 use crate::ps::ParameterServer;
@@ -145,25 +140,18 @@ impl<T: Transport + Send> WeightsClient for RemoteClient<T> {
     }
 }
 
-/// One rollout worker: a private environment, exploration RNG, K-NN
-/// mapper and **policy replica** (updated via
+/// One rollout worker: an [`Actor`] (private environment, exploration
+/// RNG, K-NN mapper — seeded as actor `worker_id` of a
+/// [`dss_core::parallel::ParallelCollector`] fleet would be, so a worker
+/// fleet is reproducible) plus a **policy replica** (updated via
 /// [`DdpgAgent::apply_policy`], never trained). Each round it pulls
-/// fresh weights, steps the act half of Algorithm 1 — the identical
-/// per-step body [`dss_core::parallel::ParallelCollector`] runs, same
-/// seed derivation, so a worker fleet is reproducible — and pushes the
+/// fresh weights, steps the actor under the replica, and pushes the
 /// collected rows stamped with the weight version they were acted under.
 pub struct RolloutWorker<E: Environment, C: WeightsClient> {
     client: C,
-    env: E,
+    actor: Actor<E>,
     agent: DdpgAgent,
-    mapper: ScalableMapper,
     eps: EpsilonSchedule,
-    rng: StdRng,
-    current: Assignment,
-    workload: Workload,
-    observed: Workload,
-    features: Vec<Elem>,
-    next_features: Vec<Elem>,
     act: ActScratch,
     /// The quantized replica when the service serves quant frames; the
     /// worker acts on it instead of `agent` until a full frame arrives.
@@ -171,62 +159,35 @@ pub struct RolloutWorker<E: Environment, C: WeightsClient> {
     qact: QuantActScratch<Elem>,
     version: u64,
     pushed_rows: u64,
-    state_dim: usize,
-    action_dim: usize,
-    rate_scale: f64,
-    reward: RewardScale,
-    n_machines: usize,
 }
 
 impl<E: Environment, C: WeightsClient> RolloutWorker<E, C> {
     /// Builds worker `worker_id` from an env setup (see
-    /// [`dss_core::scenario`] for factories). The exploration RNG uses
-    /// the same `cfg.seed ^ (0xAC70 + id)` derivation as the fleet
-    /// collector's actors; the replica agent is shaped exactly like the
-    /// learner's so published policies apply bit-for-bit.
+    /// [`dss_core::scenario`] for factories). The replica agent is shaped
+    /// exactly like the learner's ([`ActorCriticScheduler::agent_config`])
+    /// so published policies apply bit-for-bit.
     pub fn new(worker_id: usize, setup: ActorSetup<E>, cfg: &ControlConfig, client: C) -> Self {
         let n = setup.env.n_executors();
         let m = setup.env.n_machines();
-        let n_sources = setup.workload.rates().len();
-        let state_dim = SchedState::feature_dim(n, m, n_sources);
-        let action_dim = n * m;
         let agent = DdpgAgent::new(
-            state_dim,
-            action_dim,
+            SchedState::feature_dim(n, m, setup.workload.rates().len()),
+            n * m,
             DdpgConfig {
-                k: cfg.k,
-                seed: cfg.seed,
-                gamma: cfg.gamma,
                 // Replicas never train: keep the (unused) replay tiny.
                 replay_capacity: 1,
-                ..DdpgConfig::default()
+                ..ActorCriticScheduler::agent_config(cfg)
             },
         );
-        let observed = setup.workload.clone();
         Self {
             client,
+            actor: Actor::new(worker_id, setup, cfg),
             agent,
-            mapper: ScalableMapper::from_knobs(n, m, cfg.mapper_groups, cfg.mapper_prune),
             eps: EpsilonSchedule::new(cfg.eps_start, cfg.eps_end, cfg.eps_decay_epochs),
-            rng: StdRng::seed_from_u64(cfg.seed ^ (0xAC70 + worker_id as u64)),
-            current: setup.initial,
-            env: setup.env,
-            workload: setup.workload,
-            observed,
-            features: Vec::new(),
-            next_features: Vec::new(),
             act: ActScratch::default(),
             quant: None,
             qact: QuantActScratch::default(),
             version: 0,
             pushed_rows: 0,
-            state_dim,
-            action_dim,
-            rate_scale: cfg.rate_scale,
-            reward: RewardScale {
-                per_ms: cfg.reward_per_ms,
-            },
-            n_machines: m,
         }
     }
 
@@ -252,8 +213,8 @@ impl<E: Environment, C: WeightsClient> RolloutWorker<E, C> {
             }
             Some((version, PolicyFrame::Quant(blob))) => {
                 if let Ok(policy) = QuantPolicy::decode(&blob) {
-                    if policy.state_dim() == self.state_dim
-                        && policy.action_dim() == self.action_dim
+                    if policy.state_dim() == self.agent.state_dim()
+                        && policy.action_dim() == self.agent.action_dim()
                     {
                         self.quant = Some(policy);
                         self.version = version;
@@ -271,52 +232,24 @@ impl<E: Environment, C: WeightsClient> RolloutWorker<E, C> {
         for round in 0..rounds {
             self.sync_weights();
             let eps = self.eps.value(round);
-            let mut batch = TransitionRows::new(self.version, self.state_dim, self.action_dim);
+            let (agent, quant) = (&self.agent, &self.quant);
+            let mut batch =
+                TransitionRows::new(self.version, agent.state_dim(), agent.action_dim());
             for _ in 0..steps_per_round {
-                let mult = self.env.workload_multiplier();
-                self.observed.copy_scaled_from(&self.workload, mult);
-                featurize_into(
-                    &self.current,
-                    &self.observed,
-                    self.rate_scale,
-                    &mut self.features,
+                let (act, qact) = (&mut self.act, &mut self.qact);
+                self.actor.step(
+                    move |features, mapper, rng| match quant {
+                        Some(policy) => {
+                            let best = policy.select_action_into(features, mapper, eps, rng, qact);
+                            &qact.cands[best]
+                        }
+                        None => {
+                            let best = agent.select_action_into(features, mapper, eps, rng, act);
+                            &act.cands[best]
+                        }
+                    },
+                    |s, a, r, next| batch.push_row(s, a, r, next),
                 );
-                let cand = match &self.quant {
-                    Some(policy) => {
-                        let best = policy.select_action_into(
-                            &self.features,
-                            &mut self.mapper,
-                            eps,
-                            &mut self.rng,
-                            &mut self.qact,
-                        );
-                        &self.qact.cands[best]
-                    }
-                    None => {
-                        let best = self.agent.select_action_into(
-                            &self.features,
-                            &mut self.mapper,
-                            eps,
-                            &mut self.rng,
-                            &mut self.act,
-                        );
-                        &self.act.cands[best]
-                    }
-                };
-                let action = choice_to_assignment(&cand.choice, self.n_machines)
-                    .expect("mapper candidates are feasible");
-                let latency = self.env.deploy_and_measure(&action, &self.workload);
-                let r = self.reward.reward(latency);
-                let mult = self.env.workload_multiplier();
-                self.observed.copy_scaled_from(&self.workload, mult);
-                featurize_into(
-                    &action,
-                    &self.observed,
-                    self.rate_scale,
-                    &mut self.next_features,
-                );
-                batch.push_row(&self.features, &cand.onehot, r, &self.next_features);
-                self.current = action;
             }
             let rows = batch.rows() as u64;
             if !self.client.push_batch(batch) {

@@ -22,15 +22,13 @@ use dsdps_drl::control::controller::Controller;
 use dsdps_drl::control::experiment::Backend;
 use dsdps_drl::control::parallel::ActorSetup;
 use dsdps_drl::control::scenario::Scenario;
-use dsdps_drl::control::scheduler::{RandomMode, RandomScheduler};
+use dsdps_drl::control::scheduler::RandomMode;
 use dsdps_drl::proto::TcpTransport;
 use dsdps_drl::rl::{Elem, ShardedReplayBuffer};
 use dsdps_drl::trainer::{
     run_remote_worker, serve_worker, BoundedQueue, Learner, LocalClient, ParameterServer,
     RolloutWorker, SharedStats,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const SCENARIO: &str = "cq-small-steady";
 const IN_PROCESS_WORKERS: usize = 3;
@@ -113,16 +111,11 @@ fn main() {
 
     // Offline phase (Algorithm 1 line 4): a random chain pretrains the
     // nets before any worker pulls; version 1 is the offline policy.
-    let controller = Controller::new(cfg);
-    let mut env = sc.sim_env(&cfg, cfg.seed);
-    let mut collector =
-        RandomScheduler::new(RandomMode::FullRandom, StdRng::seed_from_u64(cfg.seed));
-    let data = controller.collect_offline(
-        &mut env,
+    let data = Controller::new(cfg).offline_phase(
+        &mut sc.sim_env(&cfg, cfg.seed),
         &sc.app.workload,
-        &mut collector,
+        RandomMode::FullRandom,
         sc.initial_assignment(),
-        &mut StdRng::seed_from_u64(cfg.seed ^ 0xE0),
     );
     learner.pretrain(&data);
     let v1 = learner.publish();
