@@ -469,17 +469,18 @@ fn main() {
         );
     }
 
-    // ---- control-plane backend under chaos: reliable-protocol step ------
-    // The same decision epoch as `cluster_env_step_cq_small`, but over the
-    // registry's lossy link (15% drop + duplicates + delays + corruption
-    // each way): every step pays the sequence-numbered envelopes, the
-    // retransmits the chaos forces, and the master-side duplicate
-    // suppression. Since the failover PR it also pays *durability*: a
-    // chaos plan routes serving through the master pool, which commits an
-    // fsynced recovery image (WAL append + coord CAS) after every
-    // state-changing reliable request — the clean probe's plain transport
-    // bypasses persistence entirely, so the ~3-4x gap to it is almost all
-    // commit cost, not retry cost (see the bench README's drift note).
+    // ---- control-plane backend under chaos: lossy-link step -------------
+    // The same decision epoch and the same exchange as
+    // `cluster_env_step_cq_small`, but over the registry's lossy link (15%
+    // drop + duplicates + delays + corruption each way): every step also
+    // pays the retransmits the chaos forces and the replays of the
+    // master-side duplicate suppression. Since the failover PR it also
+    // pays *durability*: a chaos plan routes serving through the master
+    // pool, which commits an fsynced recovery image (WAL append + coord
+    // CAS) after every state-changing request — the clean probe is served
+    // by the pool's leader directly, with no commit, so the ~3-4x gap to
+    // it is almost all commit cost, not retry cost (see the bench README's
+    // drift note).
     // Ungated; the gap to the clean cluster probe is the price of riding
     // an unreliable network with a crash-safe master.
     {

@@ -433,19 +433,29 @@ pub enum ClusterTransport {
 /// daemons + `dss-coord` coordination + embedded [`SimEngine`]) driven by
 /// the agent half of the socket protocol (`dss-proto` framed codec).
 ///
-/// One [`Environment::deploy_and_measure`] is one protocol epoch:
+/// One [`Environment::deploy_and_measure`] is one protocol epoch, and the
+/// agent initiates every move of it as an ack'd request
+/// ([`dss_nimbus::AgentClient::reliable_call`]: sequence-numbered,
+/// retransmitted under a [`RetryPolicy`], applied at most once by the
+/// master) — over both transports, on a clean link and a faulty one alike:
 ///
-/// 1. the agent receives the scheduler's `StateReport` (assignment, base
-///    rates, current schedule multiplier);
-/// 2. a changed base workload goes out as a `WorkloadUpdate`, then the
-///    assignment as a `SchedulingSolution` echoing the state's epoch;
-/// 3. Nimbus validates the solution, CAS-updates the versioned assignment
+/// 1. a changed base workload goes out as a `WorkloadUpdate`, then the
+///    assignment as a `SchedulingSolution` echoing the epoch of the state
+///    report in hand;
+/// 2. Nimbus validates the solution, CAS-updates the versioned assignment
 ///    znode, applies the minimal-impact re-deploy to the engine, advances
 ///    one decision epoch of simulated time (supervisors heartbeating,
 ///    scheduled [`FaultPlan`] events firing at their exact instants), and
-///    reports the sliding-window latency back as a `RewardReport`;
-/// 4. the agent maps an empty measurement set to
-///    [`EMPTY_WINDOW_PENALTY_MS`] — the same penalty [`SimEnv`] applies.
+///    answers with the sliding-window latency as a `RewardReport`; the
+///    agent maps an empty measurement set to [`EMPTY_WINDOW_PENALTY_MS`] —
+///    the same penalty [`SimEnv`] applies;
+/// 3. a `StatsRequest` follows when the caller wants the statistics;
+/// 4. a `StateRequest` fetches the scheduler's `StateReport` (assignment,
+///    base rates, current schedule multiplier) — the *next* epoch's fetch,
+///    issued eagerly so [`Environment::workload_multiplier`] and
+///    [`ClusterEnv::reported_assignment`] describe the cluster after the
+///    epoch just measured, as [`SimEnv`] has them. The launch fetches the
+///    first report the same way.
 ///
 /// The cluster launches lazily on the first call (the first assignment
 /// *starts* the topology, exactly like [`SimEnv`]'s cold start), so with
@@ -463,42 +473,47 @@ pub enum ClusterTransport {
 /// [`ClusterEnv::with_chaos_plan`]: the agent's transport is wrapped in
 /// `dss-proto`'s `ChaosTransport`, which injects seeded, deterministic
 /// drop/corrupt/duplicate/delay faults (and optional epoch-windowed full
-/// partitions) into both directions. The env then switches from the plain
-/// exchange to the *reliable* protocol — sequence-numbered requests,
-/// retransmits under a [`RetryPolicy`], idempotent replay on the master —
-/// so ordinary fault rates are absorbed transparently. When a whole epoch's
-/// retry budget is exhausted (e.g. mid-partition), the env **degrades
-/// instead of hanging**: it reports the shared [`EMPTY_WINDOW_PENALTY_MS`]
-/// for that epoch, holds the last deployed assignment (the cluster keeps
-/// running it; simulated time does not advance, because no solution was
-/// delivered), and records a typed [`DegradedReason`] — see
-/// [`ClusterEnv::degraded_epochs`] / [`ClusterEnv::last_degraded`]. After
-/// the network heals, the next epoch re-syncs with a fresh state request.
+/// partitions) into both directions. Retransmits and the master's
+/// idempotent replay absorb ordinary fault rates transparently. When a
+/// request's retry budget is exhausted (e.g. mid-partition), the env
+/// **degrades instead of hanging**: it reports the shared
+/// [`EMPTY_WINDOW_PENALTY_MS`] for that epoch, holds the last deployed
+/// assignment (the cluster keeps running it; simulated time does not
+/// advance, because no solution was delivered), and records a typed
+/// [`DegradedReason`] — see [`ClusterEnv::degraded_epochs`] /
+/// [`ClusterEnv::last_degraded`]. A state fetch that fails is not retried
+/// at once: the epoch it was for degrades on the held error, without
+/// sending anything first. Every degraded epoch ends with a fresh fetch,
+/// which re-syncs the env once the network has healed. A solution the
+/// master rejects degrades the same way ([`DegradedReason::Protocol`]).
 /// With no chaos plan the wrapper is a pure passthrough and every clean
 /// guarantee above (bit-identical parity with [`SimEnv`]) holds unchanged.
 ///
 /// **Master faults.** The master itself is a leader-elected pool
-/// ([`dss_nimbus::NimbusSet`]): the active Nimbus commits a durable
-/// recovery image (fsynced WAL → versioned coordination znode) after
-/// every state-changing reliable request, and scripted
-/// `FaultKind::MasterCrash` / `MasterRestart` events in the
-/// [`FaultPlan`] kill and revive it at exact simulated times. A crash
-/// with a standby configured ([`ClusterEnv::with_standbys`]) fails over
-/// *synchronously* at the request boundary: the standby wins the
-/// election after session expiry, rebuilds an identical master from the
-/// newest image (same engine clock/RNG, same reliable-protocol window),
-/// and the epoch completes with the same measurement the uninterrupted
-/// run would report — master death becomes invisible to the trajectory.
-/// With *no* standby the set goes leaderless: the failing epoch burns
-/// its retry budget into the dark window and degrades, the env then
+/// ([`dss_nimbus::NimbusSet`]), and scripted `FaultKind::MasterCrash` /
+/// `MasterRestart` events in the [`FaultPlan`] kill and revive its leader
+/// at exact simulated times. A crash with a standby configured
+/// ([`ClusterEnv::with_standbys`]) fails over *synchronously* at the
+/// request boundary: the standby wins the election after session expiry,
+/// rebuilds an identical master from the newest recovery image (same
+/// engine clock/RNG, same duplicate-suppression window), and the epoch
+/// completes with the same measurement the uninterrupted run would
+/// report — master death becomes invisible to the trajectory. With *no*
+/// standby the set goes leaderless: the failing request burns its retry
+/// budget into the dark window and its epoch degrades, the env then
 /// probes the link with a `Resume` frame, and when the probe reaches a
 /// revived master whose announced generation advanced, the epoch is
 /// recorded as [`DegradedReason::Failover`] (see
 /// [`ClusterEnv::failovers`] / [`ClusterEnv::master_generation`]).
-/// Master-fault plans require the reliable protocol (install a chaos
-/// plan — zero-rate is fine); persistence rides only the reliable serve
-/// path, so zero-fault and plain-transport trajectories stay
-/// bit-identical to the pre-failover control plane.
+///
+/// **Who serves.** When a chaos plan is installed or the fault plan
+/// schedules master events, requests are served through the pool
+/// (`NimbusSet::serve_step`), which fires the scripted master faults and
+/// commits a durable recovery image (fsynced WAL → versioned coordination
+/// znode) after every state-changing request; otherwise the pool's leader
+/// serves them directly (`Nimbus::serve_step`), because no master can die
+/// and the commits' fsyncs would roughly double a small scenario's epoch
+/// (14–20 ms against 8.7 ms per 10 s `cq-small-steady` epoch).
 pub struct ClusterEnv {
     n_executors: usize,
     n_machines: usize,
@@ -512,11 +527,10 @@ pub struct ClusterEnv {
     auto_repair: bool,
     transport: ClusterTransport,
     fault_plan: Option<FaultPlan>,
-    /// Network-fault injection plan; `Some` switches the env to the
-    /// reliable protocol (see the failure-model section above).
+    /// Network-fault injection plan for the agent's end of the link.
     chaos: Option<ChaosPlan>,
-    /// Retry knobs for the reliable protocol (`None`: a transport-suited
-    /// default — synchronous for the channel pairing, timed for TCP).
+    /// Retry knobs of the exchange (`None`: a transport-suited default —
+    /// synchronous for the channel pairing, timed for TCP).
     retry: Option<RetryPolicy>,
     /// Decision epochs attempted so far (indexes the partition window).
     steps: u64,
@@ -529,15 +543,18 @@ pub struct ClusterEnv {
     multiplier: f64,
     /// Base workload last sent to the master.
     base: Option<Workload>,
-    /// Prefetched state report for the next decision.
-    pending: Option<StateView>,
-    /// Last state successfully fetched (the reliable path has no prefetch;
-    /// this keeps [`ClusterEnv::reported_assignment`] meaningful).
-    last_state: Option<StateView>,
+    /// Last state report fetched: the one the next solution answers,
+    /// unless `fetch_error` says the fetch for it failed (it then still
+    /// describes what the cluster runs through the degraded stretch).
+    state: Option<StateView>,
+    /// Why the fetch of the next epoch's state failed; that epoch
+    /// degrades on it.
+    fetch_error: Option<NimbusError>,
     /// Standby masters launched alongside the leader (failover pool).
     standbys: usize,
     /// Whether the installed fault plan schedules master crash/restart
-    /// events (set at launch; gates the post-degraded resume probe).
+    /// events (set at launch; like a chaos plan it selects the pool as
+    /// the server, and it gates the post-degraded resume probe).
     master_faults: bool,
     /// Last master generation observed through a `Resume` probe.
     generation: u64,
@@ -573,16 +590,17 @@ pub enum DegradedReason {
 enum Plant {
     /// Not yet launched: the engine waits for the first assignment.
     Pending(Box<SimEngine>),
-    /// Synchronous in-process master pool + agent over a channel pair.
-    /// The agent side is chaos-wrappable; with no plan the wrapper is a
-    /// pure passthrough (and the plain path delegates straight to the
-    /// active master, bypassing the pool's persistence entirely).
+    /// Synchronous in-process master pool + agent over a channel pair:
+    /// the env gives the master its turn each time the agent has sent a
+    /// request. The agent side is chaos-wrappable; with no plan the
+    /// wrapper is a pure passthrough.
     Channel {
         set: Box<NimbusSet>,
         server: ChannelTransport,
         agent: AgentClient<MaybeChaos<ChannelTransport>>,
     },
-    /// Master thread behind a loopback TCP socket.
+    /// Master pool serving from its own thread behind a loopback TCP
+    /// socket.
     Tcp {
         agent: AgentClient<MaybeChaos<TcpTransport>>,
         master: Option<JoinHandle<Result<(), NimbusError>>>,
@@ -621,8 +639,8 @@ impl ClusterEnv {
             last_degraded: None,
             multiplier: engine.rate_schedule().multiplier_at(engine.now()),
             base: None,
-            pending: None,
-            last_state: None,
+            state: None,
+            fetch_error: None,
             standbys: 0,
             master_faults: false,
             generation: 0,
@@ -646,9 +664,8 @@ impl ClusterEnv {
     }
 
     /// Makes the control-plane link unreliable under a seeded
-    /// [`ChaosPlan`] and switches the env to the reliable protocol (see
-    /// the failure-model section of the type docs). Must be set before
-    /// the first deploy-and-measure.
+    /// [`ChaosPlan`] (see the failure-model section of the type docs).
+    /// Must be set before the first deploy-and-measure.
     pub fn with_chaos_plan(mut self, plan: ChaosPlan) -> Self {
         assert!(
             matches!(self.plant, Plant::Pending(_)),
@@ -658,10 +675,9 @@ impl ClusterEnv {
         self
     }
 
-    /// Overrides the reliable protocol's retry/timeout/backoff knobs
-    /// (defaults: [`RetryPolicy::synchronous`] over the channel pairing,
-    /// [`RetryPolicy::default`] over TCP). Only meaningful together with
-    /// [`ClusterEnv::with_chaos_plan`].
+    /// Overrides the exchange's retry/timeout/backoff knobs (defaults:
+    /// [`RetryPolicy::synchronous`] over the channel pairing,
+    /// [`RetryPolicy::default`] over TCP).
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
@@ -780,14 +796,10 @@ impl ClusterEnv {
 
     /// The assignment the master last reported (what a "hold" policy
     /// echoes back — after a repair this differs from the last solution).
-    /// Under chaos there is no prefetched state; the last successfully
-    /// fetched one stands in (it is exactly what the cluster still runs
-    /// through a degraded stretch).
+    /// While state fetches fail, the last one that succeeded stands (it is
+    /// exactly what the cluster still runs through a degraded stretch).
     pub fn reported_assignment(&self) -> Option<&[usize]> {
-        self.pending
-            .as_ref()
-            .or(self.last_state.as_ref())
-            .map(|s| s.machine_of.as_slice())
+        self.state.as_ref().map(|s| s.machine_of.as_slice())
     }
 
     /// Launch the cluster: master, supervisors, fault plan, handshake,
@@ -800,6 +812,7 @@ impl ClusterEnv {
         let coord = CoordService::new(CoordConfig {
             session_timeout_ms: self.session_timeout_ms,
         });
+        let policy = self.retry_policy();
         let config = NimbusConfig {
             measure: MeasureProtocol::Epoch {
                 epoch_s: self.epoch_s,
@@ -808,17 +821,12 @@ impl ClusterEnv {
             ident: "dss-cluster-env/0.1".into(),
             heartbeat_interval_s: self.heartbeat_interval_s,
             auto_repair: self.auto_repair,
-            retry: self.retry_policy(),
+            retry: policy.clone(),
         };
         self.master_faults = self
             .fault_plan
             .as_ref()
             .is_some_and(|p| p.has_master_events());
-        assert!(
-            !self.master_faults || self.chaos.is_some(),
-            "master-fault plans need the reliable protocol: install a chaos \
-             plan (a zero-rate `ChaosPlan::new(seed)` keeps the link clean)"
-        );
         let wal_dir = unique_wal_dir();
         let mut set = NimbusSet::launch(
             *engine,
@@ -843,90 +851,72 @@ impl ClusterEnv {
         // the failing call's whole retry budget lands in the dark window,
         // and the next transmission (the env's resume probe) revives the
         // pool through the scripted restart.
-        set.set_leaderless_grace(u64::from(self.retry_policy().max_attempts));
+        set.set_leaderless_grace(u64::from(policy.max_attempts));
         self.base = Some(workload.clone());
-        match self.transport {
+        let pooled = self.pooled();
+        let partitioned = self.partitioned_at(0);
+        // Chaos (when configured) starts DISARMED, so the handshake and
+        // the first state fetch run clean on either transport. It is
+        // armed, under the first epoch's partition flag, only once the
+        // plant is up.
+        let state = match self.transport {
             ClusterTransport::Channel => {
                 let (agent_side, server) = ChannelTransport::pair();
-                // Chaos (when configured) starts DISARMED, so the
-                // handshake and the first state report below run clean —
-                // exactly the clean-path bytes. It is armed only once the
-                // plant is up.
                 let wrapped = MaybeChaos::wrap(agent_side, self.chaos.as_ref());
                 let mut agent = AgentClient::new(wrapped, "dss-cluster-env-agent/0.1");
                 // Synchronous handshake: the agent announces first so the
                 // master's (send, recv) handshake never blocks.
                 agent.announce().expect("channel handshake");
-                let nimbus = set.active_mut().expect("master up at launch");
-                nimbus.handshake(&server).expect("channel handshake");
+                set.active_mut()
+                    .expect("master up at launch")
+                    .handshake(&server)
+                    .expect("channel handshake");
                 agent.await_scheduler().expect("channel handshake");
-                assert!(
-                    nimbus.send_state(&server).expect("first state report"),
-                    "agent alive at launch"
-                );
-                self.pending = agent.poll_state().expect("first state report");
+                let state = agent.reliable_fetch_state(&policy, || pump(&mut set, pooled, &server));
+                agent.transport().set_partitioned(partitioned);
                 agent.transport().arm();
                 self.plant = Plant::Channel {
                     set: Box::new(set),
                     server,
                     agent,
                 };
+                state
             }
             ClusterTransport::Tcp => {
                 let (listener, addr) = TcpTransport::listen_localhost().expect("loopback listener");
-                let reliable = self.chaos.is_some();
                 let master = std::thread::spawn(move || -> Result<(), NimbusError> {
                     let transport = TcpTransport::accept(&listener)?;
                     set.active_mut()
                         .expect("master up at launch")
                         .handshake(&transport)?;
-                    if reliable {
-                        // Reliable mode: the agent initiates everything
-                        // (including state fetches), so the master first
-                        // pushes the launch state and then serves wrapped
-                        // requests with bounded waits until the goodbye.
-                        // Serving through the pool fires scripted master
-                        // faults and persists the recovery image.
-                        if !set
-                            .active_mut()
-                            .expect("master up at launch")
-                            .send_state(&transport)?
-                        {
-                            return Ok(());
-                        }
-                        loop {
-                            match set.serve_step(&transport, Duration::from_millis(20))? {
-                                ServeStep::Goodbye => return Ok(()),
-                                ServeStep::Idle | ServeStep::Served => {}
-                            }
-                        }
-                    }
-                    // Plain path: master faults are gated to reliable
-                    // mode, so the leader never changes — delegate to it
-                    // directly (no persistence, bit-identical bytes).
-                    let nimbus = set.active_mut().expect("plain path keeps its master");
-                    while nimbus.serve_epoch(&transport)? {}
+                    // Bounded waits, so the pool's scripted master events
+                    // fire on time whether or not a request is in flight.
+                    while serve(&mut set, pooled, &transport, Duration::from_millis(20))?
+                        != ServeStep::Goodbye
+                    {}
                     Ok(())
                 });
                 let transport = TcpTransport::connect(addr).expect("loopback connect");
                 let wrapped = MaybeChaos::wrap(transport, self.chaos.as_ref());
                 let mut agent = AgentClient::new(wrapped, "dss-cluster-env-agent/0.1");
                 agent.handshake().expect("tcp handshake");
-                self.pending = agent.poll_state().expect("first state report");
+                let state = agent.reliable_fetch_state(&policy, || {});
+                agent.transport().set_partitioned(partitioned);
                 agent.transport().arm();
                 self.plant = Plant::Tcp {
                     agent,
                     master: Some(master),
                 };
+                state
             }
         }
-        if let Some(state) = &self.pending {
-            self.multiplier = state.rate_multiplier;
-        }
+        .expect("first state report");
+        self.multiplier = state.rate_multiplier;
+        self.state = Some(state);
     }
 
-    /// The retry policy the reliable protocol runs under: an explicit
-    /// override, else a transport-suited default.
+    /// The retry policy the exchange runs under: an explicit override,
+    /// else a transport-suited default.
     fn retry_policy(&self) -> RetryPolicy {
         match (&self.retry, self.transport) {
             (Some(p), _) => p.clone(),
@@ -935,8 +925,24 @@ impl ClusterEnv {
         }
     }
 
+    /// Whether requests are served through the master pool rather than by
+    /// its leader directly (see *Who serves* in the type docs).
+    fn pooled(&self) -> bool {
+        self.chaos.is_some() || self.master_faults
+    }
+
+    /// Whether the chaos plan black-holes the link during decision epoch
+    /// `epoch_idx`.
+    fn partitioned_at(&self, epoch_idx: u64) -> bool {
+        self.chaos
+            .as_ref()
+            .is_some_and(|p| p.partitioned_at(epoch_idx))
+    }
+
     /// One full protocol epoch. Returns the measured latency and, when
-    /// requested, the runtime statistics snapshot.
+    /// requested, the runtime statistics snapshot. A failed round trip
+    /// **degrades** — penalty latency, assignment held, typed
+    /// [`DegradedReason`] — instead of panicking or hanging.
     fn step(
         &mut self,
         assignment: &Assignment,
@@ -946,9 +952,10 @@ impl ClusterEnv {
         if matches!(self.plant, Plant::Pending(_)) {
             self.launch(assignment, workload);
         }
-        if self.chaos.is_some() {
-            return self.step_reliable(assignment, workload, want_stats);
-        }
+        let partitioned = self.partitioned_at(self.steps);
+        self.steps += 1;
+        let policy = self.retry_policy();
+        let pooled = self.pooled();
         // A changed base workload goes out ahead of the solution, exactly
         // where SimEnv forwards it to the engine (an unchanged one is
         // never resent, so the engine state is untouched).
@@ -962,129 +969,44 @@ impl ClusterEnv {
                     .collect::<Vec<(u32, f64)>>(),
             ),
         };
-        if new_base.is_some() {
-            self.base = Some(workload.clone());
-        }
-        let taken = self.pending.take();
-        let machine_of = assignment.as_slice().to_vec();
-        let (ms, stats, next) = match &mut self.plant {
-            // The agent-side sequence is shared; the channel pairing just
-            // hands the master its turn at each pump point. Master faults
-            // are gated to reliable mode, so the plain path reaches the
-            // (only) leader directly — no pool bookkeeping, no
-            // persistence, bytes identical to a bare master.
-            Plant::Channel { set, server, agent } => {
-                drive_epoch(agent, taken, new_base, machine_of, want_stats, |turn| {
-                    let nimbus = set.active_mut().expect("plain path keeps its master");
-                    match turn {
-                        MasterTurn::SendState => assert!(
-                            nimbus.send_state(server).expect("state report"),
-                            "agent alive at state send"
-                        ),
-                        MasterTurn::ServeSolution => assert!(
-                            nimbus.serve_solution(server).expect(
-                                "cluster rejected the solution: \
-                                 assignment invalid for this environment"
-                            ),
-                            "agent alive mid-epoch"
-                        ),
-                        MasterTurn::ServePending => {
-                            nimbus.serve_pending(server).expect("stats service")
-                        }
-                    }
-                })
-            }
-            // The TCP master serves from its own thread: every pump point
-            // is a no-op, the socket does the interleaving.
-            Plant::Tcp { agent, .. } => {
-                drive_epoch(agent, taken, new_base, machine_of, want_stats, |_| {})
-            }
-            Plant::Pending(_) | Plant::Poisoned => unreachable!("launched above"),
-        };
-        if let Some(state) = &next {
-            self.multiplier = state.rate_multiplier;
-        }
-        self.pending = next;
-        (ms, stats)
-    }
-
-    /// One decision epoch over the *reliable* protocol (chaos configured).
-    ///
-    /// Differences from the clean [`ClusterEnv::step`]: every exchange is
-    /// a sequence-numbered request with retransmits under the
-    /// [`RetryPolicy`]; there is no state prefetch (each epoch starts by
-    /// fetching state unless the launch report is still pending); and a
-    /// failed round trip **degrades** — penalty latency, assignment held,
-    /// typed [`DegradedReason`] — instead of panicking or hanging.
-    fn step_reliable(
-        &mut self,
-        assignment: &Assignment,
-        workload: &Workload,
-        want_stats: bool,
-    ) -> (f64, Option<StatsView>) {
-        let epoch_idx = self.steps;
-        self.steps += 1;
-        let partitioned = self
-            .chaos
-            .as_ref()
-            .is_some_and(|p| p.partitioned_at(epoch_idx));
-        let policy = self.retry_policy();
-        let new_base = match &self.base {
-            Some(base) if base == workload => None,
-            _ => Some(
-                workload
-                    .rates()
-                    .iter()
-                    .map(|&(c, r)| (c as u32, r))
-                    .collect::<Vec<(u32, f64)>>(),
-            ),
-        };
         let sent_base = new_base.is_some();
-        let taken = self.pending.take();
         let machine_of = assignment.as_slice().to_vec();
-        let result = match &mut self.plant {
-            Plant::Channel { set, server, agent } => {
-                agent.transport().set_partitioned(partitioned);
-                // The synchronous pump: give the master every queued
-                // message each time the agent yields. Chaos losses leave
-                // the master Idle; the agent's retransmit budget decides
-                // the epoch's fate, so the outcome depends only on
-                // message counts — deterministic across thread pools.
-                // Serving through the pool fires scripted master faults
-                // and durably commits the recovery image per request.
-                reliable_epoch(
-                    agent,
-                    taken,
-                    new_base,
-                    machine_of,
-                    want_stats,
-                    &policy,
-                    || while let Ok(ServeStep::Served) = set.serve_step(server, Duration::ZERO) {},
-                )
-            }
-            Plant::Tcp { agent, .. } => {
-                agent.transport().set_partitioned(partitioned);
-                // The TCP master serves from its own thread on bounded
-                // waits; no pumping needed.
-                reliable_epoch(
-                    agent,
-                    taken,
-                    new_base,
-                    machine_of,
-                    want_stats,
-                    &policy,
-                    || {},
-                )
-            }
-            Plant::Pending(_) | Plant::Poisoned => unreachable!("launched above"),
+        let state = self.state.as_ref().expect("launch fetched a state");
+        let result = match (self.fetch_error.take(), &mut self.plant) {
+            // This epoch's state never arrived: nothing to answer.
+            (Some(e), _) => Err(e),
+            // The synchronous pump: give the master every queued message
+            // each time the agent yields. Chaos losses leave the master
+            // Idle; the agent's retransmit budget decides the epoch's
+            // fate, so the outcome depends only on message counts —
+            // deterministic across thread pools.
+            (None, Plant::Channel { set, server, agent }) => reliable_epoch(
+                agent,
+                state,
+                new_base,
+                machine_of,
+                want_stats,
+                &policy,
+                || pump(set, pooled, server),
+            ),
+            // The TCP master serves from its own thread on bounded waits;
+            // no pumping needed.
+            (None, Plant::Tcp { agent, .. }) => reliable_epoch(
+                agent,
+                state,
+                new_base,
+                machine_of,
+                want_stats,
+                &policy,
+                || {},
+            ),
+            (None, Plant::Pending(_) | Plant::Poisoned) => unreachable!("launched above"),
         };
-        match result {
-            Ok((ms, stats, state)) => {
-                self.multiplier = state.rate_multiplier;
+        let out = match result {
+            Ok((ms, stats)) => {
                 if sent_base {
                     self.base = Some(workload.clone());
                 }
-                self.last_state = Some(state);
                 self.last_degraded = None;
                 (ms, stats)
             }
@@ -1092,9 +1014,7 @@ impl ClusterEnv {
                 // Degraded epoch: the cluster keeps running the last
                 // deployed assignment, simulated time stays put (no
                 // solution was delivered), and the agent sees the shared
-                // stalled-window penalty. A stale cached state could
-                // carry a wrong epoch number, so it is dropped — the next
-                // attempt re-syncs with a fresh state request.
+                // stalled-window penalty.
                 self.degraded += 1;
                 let mut reason = match e {
                     _ if partitioned => DegradedReason::Partitioned,
@@ -1121,6 +1041,37 @@ impl ClusterEnv {
                     want_stats.then(|| self.degraded_stats()),
                 )
             }
+        };
+        self.fetch_state();
+        out
+    }
+
+    /// Fetches the state report the next epoch answers, under that epoch's
+    /// partition flag. A failure is held for that epoch to degrade on: a
+    /// state in hand that may carry a wrong epoch number is never
+    /// answered, and a dead master's dark window is charged to exactly one
+    /// epoch.
+    fn fetch_state(&mut self) {
+        let partitioned = self.partitioned_at(self.steps);
+        let policy = self.retry_policy();
+        let pooled = self.pooled();
+        let fetched = match &mut self.plant {
+            Plant::Channel { set, server, agent } => {
+                agent.transport().set_partitioned(partitioned);
+                agent.reliable_fetch_state(&policy, || pump(set, pooled, server))
+            }
+            Plant::Tcp { agent, .. } => {
+                agent.transport().set_partitioned(partitioned);
+                agent.reliable_fetch_state(&policy, || {})
+            }
+            Plant::Pending(_) | Plant::Poisoned => unreachable!("launched"),
+        };
+        match fetched {
+            Ok(state) => {
+                self.multiplier = state.rate_multiplier;
+                self.state = Some(state);
+            }
+            Err(e) => self.fetch_error = Some(e),
         }
     }
 
@@ -1130,12 +1081,11 @@ impl ClusterEnv {
     /// state — safe to fire after any failed epoch.
     fn probe_master(&mut self) -> Option<u64> {
         let policy = self.retry_policy();
-        let epoch = self.last_state.as_ref().map_or(0, |s| s.epoch);
+        let pooled = self.pooled();
+        let epoch = self.state.as_ref().map_or(0, |s| s.epoch);
         match &mut self.plant {
             Plant::Channel { set, server, agent } => agent
-                .reliable_resume(epoch, &policy, || {
-                    while let Ok(ServeStep::Served) = set.serve_step(server, Duration::ZERO) {}
-                })
+                .reliable_resume(epoch, &policy, || pump(set, pooled, server))
                 .ok()
                 .map(|(generation, _)| generation),
             Plant::Tcp { agent, .. } => agent
@@ -1163,25 +1113,41 @@ impl ClusterEnv {
     }
 }
 
-/// The agent half of one *reliable* protocol epoch, shared by both
-/// transports: fetch state (unless the launch prefetch is still pending),
-/// forward a changed base workload, deliver the solution, and collect the
-/// reward (plus stats when asked). Any leg exhausting its retry budget
-/// aborts the epoch with the typed error.
-#[allow(clippy::type_complexity)]
+/// Serves one request of the exchange: through the pool (scripted master
+/// faults fire, the recovery image commits) or by its leader directly.
+fn serve(
+    set: &mut NimbusSet,
+    pooled: bool,
+    transport: &dyn dss_proto::Transport,
+    wait: Duration,
+) -> Result<ServeStep, NimbusError> {
+    if pooled {
+        set.serve_step(transport, wait)
+    } else {
+        set.active_mut()
+            .expect("without master faults the leader never changes")
+            .serve_step(transport, wait)
+    }
+}
+
+/// The in-process master's turn: serve every queued request.
+fn pump(set: &mut NimbusSet, pooled: bool, server: &ChannelTransport) {
+    while let Ok(ServeStep::Served) = serve(set, pooled, server, Duration::ZERO) {}
+}
+
+/// The agent half of one epoch's deploy-and-measure, shared by both
+/// transports: forward a changed base workload, deliver the solution
+/// answering `state`, and collect the reward (plus stats when asked). Any
+/// leg exhausting its retry budget aborts the epoch with the typed error.
 fn reliable_epoch<T: dss_proto::Transport>(
     agent: &mut AgentClient<T>,
-    taken: Option<StateView>,
+    state: &StateView,
     new_base: Option<Vec<(u32, f64)>>,
     machine_of: Vec<usize>,
     want_stats: bool,
     policy: &RetryPolicy,
     mut pump: impl FnMut(),
-) -> Result<(f64, Option<StatsView>, StateView), NimbusError> {
-    let state = match taken {
-        Some(state) => state,
-        None => agent.reliable_fetch_state(policy, &mut pump)?,
-    };
+) -> Result<(f64, Option<StatsView>), NimbusError> {
     if let Some(rates) = new_base {
         agent.reliable_send_workload(rates, policy, &mut pump)?;
     }
@@ -1192,66 +1158,7 @@ fn reliable_epoch<T: dss_proto::Transport>(
     } else {
         None
     };
-    Ok((reward_ms(&reward), stats, state))
-}
-
-/// Points in the agent-side epoch where a *synchronous in-process* master
-/// must be given its turn. An out-of-process master (TCP mode) interleaves
-/// through the socket instead, so its pump is a no-op.
-enum MasterTurn {
-    /// The agent is about to wait for a state report.
-    SendState,
-    /// A solution (and any preceding workload update) is queued.
-    ServeSolution,
-    /// A stats request is queued.
-    ServePending,
-}
-
-/// The agent half of one protocol epoch, shared by both transports:
-/// consume/fetch the state, forward a changed base workload, send the
-/// solution, collect the reward (and stats when asked), and prefetch the
-/// next state so `workload_multiplier` tracks the post-epoch offered
-/// load.
-fn drive_epoch<T: dss_proto::Transport>(
-    agent: &mut AgentClient<T>,
-    taken: Option<StateView>,
-    new_base: Option<Vec<(u32, f64)>>,
-    machine_of: Vec<usize>,
-    want_stats: bool,
-    mut pump: impl FnMut(MasterTurn),
-) -> (f64, Option<StatsView>, Option<StateView>) {
-    let state = match taken {
-        Some(state) => state,
-        None => {
-            pump(MasterTurn::SendState);
-            agent
-                .poll_state()
-                .expect("state report")
-                .expect("master up")
-        }
-    };
-    if let Some(rates) = new_base {
-        agent.send_workload(rates).expect("workload update");
-    }
-    agent
-        .send_solution(state.epoch, machine_of, state.n_machines)
-        .expect("solution send");
-    pump(MasterTurn::ServeSolution);
-    let reward = agent
-        .recv_reward()
-        .expect("cluster rejected the solution: assignment invalid for this environment")
-        .expect("master up");
-    let stats = want_stats.then(|| {
-        agent.request_stats().expect("stats request");
-        pump(MasterTurn::ServePending);
-        agent
-            .recv_stats()
-            .expect("stats report")
-            .expect("master up")
-    });
-    pump(MasterTurn::SendState);
-    let next = agent.poll_state().expect("state report");
-    (reward_ms(&reward), stats, next)
+    Ok((reward_ms(&reward), stats))
 }
 
 /// Map a protocol reward to the backend's latency semantics: an empty
@@ -1691,15 +1598,22 @@ mod tests {
 
     #[test]
     fn zero_rate_chaos_traces_the_clean_trajectory() {
-        // The reliable protocol under a zero-fault plan must reproduce
-        // the clean backend's measurements exactly: retransmits never
-        // trigger, so the engine sees the same deploys and epochs.
+        // The exchange under a zero-fault plan (served through the pool)
+        // must reproduce the clean backend's measurements exactly:
+        // retransmits never trigger, so the engine sees the same deploys
+        // and epochs — and, on a moving schedule, the same post-epoch
+        // multipliers.
         let mut sim = sim_env(19, 5.0);
+        sim.engine_mut()
+            .set_rate_schedule(dss_sim::RateSchedule::step_at(10.0, 2.0));
         let w = Workload::new(vec![(0, 200.0)], sim.engine().topology()).unwrap();
         let reference = walk(&mut sim, &w, 5);
         for transport in [ClusterTransport::Channel, ClusterTransport::Tcp] {
             let mut cluster =
                 cluster_env(19, 5.0, transport).with_chaos_plan(ChaosPlan::new(0xC0FFEE));
+            if let Plant::Pending(engine) = &mut cluster.plant {
+                engine.set_rate_schedule(dss_sim::RateSchedule::step_at(10.0, 2.0));
+            }
             let got = walk(&mut cluster, &w, 5);
             assert_eq!(reference, got, "reliable-path drift over {transport:?}");
             assert_eq!(cluster.degraded_epochs(), 0);
@@ -1794,30 +1708,38 @@ mod tests {
             b.edge(s, x, Grouping::Shuffle, 1.0, 128);
             Workload::new(vec![(0, 200.0)], &b.build().unwrap()).unwrap()
         };
+        // A master-fault plan selects the pool by itself: the link needs
+        // no chaos plan, zero-rate or otherwise.
         for transport in [ClusterTransport::Channel, ClusterTransport::Tcp] {
-            let mut clean = cluster_env(27, 5.0, transport).with_chaos_plan(ChaosPlan::new(0xFA11));
-            let reference = walk(&mut clean, &w, 6);
-            let mut crashed = cluster_env(27, 5.0, transport)
-                .with_chaos_plan(ChaosPlan::new(0xFA11))
-                .with_standbys(1)
-                .with_fault_plan(FaultPlan::new(vec![
+            for chaos in [Some(ChaosPlan::new(0xFA11)), None] {
+                let env = || {
+                    let env = cluster_env(27, 5.0, transport);
+                    match &chaos {
+                        Some(plan) => env.with_chaos_plan(plan.clone()),
+                        None => env,
+                    }
+                };
+                let mut clean = env();
+                let reference = walk(&mut clean, &w, 6);
+                let mut crashed = env().with_standbys(1).with_fault_plan(FaultPlan::new(vec![
                     FaultEvent::master_crash(10.0),
                     FaultEvent::master_restart(15.0),
                     FaultEvent::master_crash(20.0),
                 ]));
-            let got = walk(&mut crashed, &w, 6);
-            assert_eq!(
-                reference, got,
-                "failover perturbed the run over {transport:?}"
-            );
-            assert_eq!(
-                crashed.degraded_epochs(),
-                0,
-                "standby failover degrades nothing"
-            );
-            if transport == ClusterTransport::Channel {
-                assert_eq!(crashed.failovers(), 2);
-                assert_eq!(crashed.master_generation(), 2);
+                let got = walk(&mut crashed, &w, 6);
+                assert_eq!(
+                    reference, got,
+                    "failover perturbed the run over {transport:?}"
+                );
+                assert_eq!(
+                    crashed.degraded_epochs(),
+                    0,
+                    "standby failover degrades nothing"
+                );
+                if transport == ClusterTransport::Channel {
+                    assert_eq!(crashed.failovers(), 2);
+                    assert_eq!(crashed.master_generation(), 2);
+                }
             }
         }
     }

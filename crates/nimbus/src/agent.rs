@@ -2,8 +2,8 @@
 //!
 //! The paper's DRL agent runs outside the DSDPS ("hot swapping of control
 //! algorithms"). [`AgentClient`] implements its half of the exchange: it
-//! receives state reports, asks a pluggable decision function for a
-//! scheduling solution, and returns the measured reward — so any scheduler
+//! fetches the state report, delivers the scheduling solution its caller
+//! decided on, and returns the measured reward — so any scheduler
 //! (`dss-core`'s actor-critic, DQN, or a baseline) can drive a remote
 //! Nimbus without knowing about sockets.
 
@@ -65,21 +65,20 @@ pub struct RewardView {
 
 /// Agent-side protocol driver.
 ///
-/// Beyond the one-call [`AgentClient::run_epoch`] loop, the exchange is
-/// decomposed into its primitive moves (`poll_state` / `send_solution` /
-/// `recv_reward` / `fetch_stats` / `send_workload`) so an environment
-/// backend can drive an epoch step-by-step — including the synchronous
-/// in-process pairing where master and agent share one thread over a
-/// `ChannelTransport`. An out-of-process master may push the *next*
-/// state report before the agent asks for it (it serves epochs in a
-/// loop); any state report arriving out of turn is stashed and returned
-/// by the next [`AgentClient::poll_state`].
+/// After the `Hello` handshake the agent initiates everything: each move
+/// of an epoch (`reliable_fetch_state` / `reliable_send_workload` /
+/// `reliable_solution` / `reliable_fetch_stats`, plus `reliable_resume`
+/// after a suspected failover) is one [`AgentClient::reliable_call`] — a
+/// sequence-numbered request retransmitted under a [`RetryPolicy`] until
+/// its answer arrives or the budget runs out — so an environment backend
+/// can drive an epoch step-by-step. Every call takes a `pump` hook, which
+/// is how the synchronous in-process pairing (master and agent sharing
+/// one thread over a `ChannelTransport`) gives the master its turn; a
+/// master on its own thread needs none.
 #[derive(Debug)]
 pub struct AgentClient<T: Transport> {
     transport: T,
     ident: String,
-    /// A state report that arrived while waiting for something else.
-    pending_state: Option<StateView>,
     /// Sequence number of the last reliable call issued.
     seq: u64,
 }
@@ -90,7 +89,6 @@ impl<T: Transport> AgentClient<T> {
         AgentClient {
             transport,
             ident: ident.into(),
-            pending_state: None,
             seq: 0,
         }
     }
@@ -131,168 +129,6 @@ impl<T: Transport> AgentClient<T> {
         self.await_scheduler()
     }
 
-    /// Next state report: the stashed one if an earlier receive ran past
-    /// it, otherwise blocks until one arrives. `Ok(None)` when the
-    /// scheduler said goodbye or disconnected.
-    pub fn poll_state(&mut self) -> Result<Option<StateView>, NimbusError> {
-        if let Some(state) = self.pending_state.take() {
-            return Ok(Some(state));
-        }
-        loop {
-            match self.transport.recv() {
-                Ok(Message::StateReport {
-                    epoch,
-                    machine_of,
-                    n_machines,
-                    source_rates,
-                    rate_multiplier,
-                }) => {
-                    return Ok(Some(StateView {
-                        epoch,
-                        machine_of,
-                        n_machines,
-                        source_rates,
-                        rate_multiplier,
-                    }))
-                }
-                Ok(Message::Heartbeat { .. }) => continue,
-                Ok(Message::Bye) | Err(ProtoError::Disconnected) => return Ok(None),
-                Ok(_) => return Err(NimbusError::UnexpectedMessage("awaiting state report")),
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Report a base-workload change to the scheduler.
-    pub fn send_workload(&self, source_rates: Vec<(u32, f64)>) -> Result<(), NimbusError> {
-        self.transport
-            .send(&Message::WorkloadUpdate { source_rates })?;
-        Ok(())
-    }
-
-    /// Send a scheduling solution answering `epoch`.
-    pub fn send_solution(
-        &self,
-        epoch: u64,
-        machine_of: Vec<usize>,
-        n_machines: usize,
-    ) -> Result<(), NimbusError> {
-        self.transport.send(&Message::SchedulingSolution {
-            epoch,
-            machine_of,
-            n_machines,
-        })?;
-        Ok(())
-    }
-
-    /// Wait for the measured reward of the last solution. Stashes any
-    /// state report the scheduler pushed early. `Ok(None)` on goodbye.
-    pub fn recv_reward(&mut self) -> Result<Option<RewardView>, NimbusError> {
-        loop {
-            match self.transport.recv() {
-                Ok(Message::RewardReport {
-                    epoch,
-                    avg_tuple_ms,
-                    measurements,
-                }) => {
-                    return Ok(Some(RewardView {
-                        epoch,
-                        avg_tuple_ms,
-                        measurements,
-                    }))
-                }
-                Ok(Message::Error { code, detail }) => {
-                    return Err(NimbusError::InvalidSolution(format!(
-                        "scheduler rejected solution (code {code}): {detail}"
-                    )))
-                }
-                Ok(Message::Heartbeat { .. }) => continue,
-                Ok(msg @ Message::StateReport { .. }) => self.stash_state(msg),
-                Ok(Message::Bye) | Err(ProtoError::Disconnected) => return Ok(None),
-                Ok(_) => return Err(NimbusError::UnexpectedMessage("awaiting reward")),
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Request a statistics snapshot without waiting for the answer
-    /// (pair with [`AgentClient::recv_stats`]; split so a synchronous
-    /// in-process pairing can pump the master in between).
-    pub fn request_stats(&self) -> Result<(), NimbusError> {
-        self.transport.send(&Message::StatsRequest)?;
-        Ok(())
-    }
-
-    /// Wait for a statistics report. Stashes any state report pushed
-    /// ahead of it. `Ok(None)` on goodbye.
-    pub fn recv_stats(&mut self) -> Result<Option<StatsView>, NimbusError> {
-        loop {
-            match self.transport.recv() {
-                Ok(Message::StatsReport {
-                    avg_latency_ms,
-                    executor_rates,
-                    executor_sojourn_ms,
-                    machine_cpu_cores,
-                    machine_cross_kib_s,
-                    edge_transfer_ms,
-                    completed,
-                    failed,
-                }) => {
-                    return Ok(Some(StatsView {
-                        avg_latency_ms,
-                        executor_rates,
-                        executor_sojourn_ms,
-                        machine_cpu_cores,
-                        machine_cross_kib_s,
-                        edge_transfer_ms,
-                        completed,
-                        failed,
-                    }))
-                }
-                Ok(Message::Heartbeat { .. }) => continue,
-                Ok(msg @ Message::StateReport { .. }) => self.stash_state(msg),
-                Ok(Message::Bye) | Err(ProtoError::Disconnected) => return Ok(None),
-                Ok(_) => return Err(NimbusError::UnexpectedMessage("awaiting stats")),
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    fn stash_state(&mut self, msg: Message) {
-        if let Message::StateReport {
-            epoch,
-            machine_of,
-            n_machines,
-            source_rates,
-            rate_multiplier,
-        } = msg
-        {
-            self.pending_state = Some(StateView {
-                epoch,
-                machine_of,
-                n_machines,
-                source_rates,
-                rate_multiplier,
-            });
-        }
-    }
-
-    /// Run one decision epoch: receive the state, decide, send the
-    /// solution, and wait for the measured reward.
-    ///
-    /// Returns `Ok(None)` if the scheduler disconnected.
-    pub fn run_epoch<F>(&mut self, mut decide: F) -> Result<Option<RewardView>, NimbusError>
-    where
-        F: FnMut(&StateView) -> Vec<usize>,
-    {
-        let Some(state) = self.poll_state()? else {
-            return Ok(None);
-        };
-        let solution = decide(&state);
-        self.send_solution(state.epoch, solution, state.n_machines)?;
-        self.recv_reward()
-    }
-
     /// Orderly shutdown.
     pub fn bye(&self) -> Result<(), NimbusError> {
         self.transport.send(&Message::Bye)?;
@@ -307,9 +143,8 @@ impl<T: Transport> AgentClient<T> {
     /// idempotently). After each transmission `pump` runs — the hook a
     /// synchronous in-process pairing uses to drive the master on this
     /// same thread — and the receive side is drained: the matching
-    /// wrapped response or ack completes the call; stale envelopes are
-    /// discarded; an unsolicited state report is stashed for the next
-    /// [`AgentClient::poll_state`]. Exhausting the budget yields
+    /// wrapped response or ack completes the call; stale envelopes and
+    /// anything unsolicited are discarded. Exhausting the budget yields
     /// [`NimbusError::Unreachable`] — never a hang.
     pub fn reliable_call(
         &mut self,
@@ -360,14 +195,9 @@ impl<T: Transport> AgentClient<T> {
                     // Stale envelopes from earlier calls (delayed or
                     // duplicated by the network): discard.
                     Some(Message::Wrapped { .. }) | Some(Message::Ack { .. }) => continue,
-                    Some(Message::Heartbeat { .. }) => continue,
-                    Some(msg @ Message::StateReport { .. }) => {
-                        self.stash_state(msg);
-                        continue;
-                    }
                     Some(Message::Bye) => return Err(NimbusError::Unreachable { attempts }),
-                    // Any other plain message is a leftover from the
-                    // pre-reliable exchange: ignore it.
+                    // Nothing else arrives unasked (a heartbeat echo at
+                    // most): ignore it.
                     Some(_) => continue,
                 }
             }
@@ -514,10 +344,37 @@ mod tests {
     use super::*;
     use dss_proto::ChannelTransport;
 
-    /// Fake scheduler speaking the server side over a channel pair.
+    /// Receives one wrapped request; returns its sequence number and body.
+    fn recv_request(peer: &ChannelTransport) -> (u64, Message) {
+        match peer.recv().unwrap() {
+            Message::Wrapped { seq, inner } => (seq, *inner),
+            other => panic!("expected a wrapped request, got {other:?}"),
+        }
+    }
+
+    fn reply(peer: &ChannelTransport, seq: u64, inner: Message) {
+        peer.send(&Message::Wrapped {
+            seq,
+            inner: Box::new(inner),
+        })
+        .unwrap();
+    }
+
+    fn state_report(epoch: u64) -> Message {
+        Message::StateReport {
+            epoch,
+            machine_of: vec![0, 0, 1],
+            n_machines: 2,
+            source_rates: vec![(0, 10.0)],
+            rate_multiplier: 1.0,
+        }
+    }
+
+    /// Fake scheduler speaking the server side over a channel pair: the
+    /// handshake, then `epochs` state-fetch + solution exchanges, then a
+    /// goodbye.
     fn fake_scheduler(peer: ChannelTransport, epochs: u64) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
-            // Handshake.
             match peer.recv().unwrap() {
                 Message::Hello { .. } => {}
                 other => panic!("unexpected {other:?}"),
@@ -528,15 +385,11 @@ mod tests {
             })
             .unwrap();
             for epoch in 0..epochs {
-                peer.send(&Message::StateReport {
-                    epoch,
-                    machine_of: vec![0, 0, 1],
-                    n_machines: 2,
-                    source_rates: vec![(0, 10.0)],
-                    rate_multiplier: 1.0,
-                })
-                .unwrap();
-                match peer.recv().unwrap() {
+                let (seq, request) = recv_request(&peer);
+                assert!(matches!(request, Message::StateRequest), "{request:?}");
+                reply(&peer, seq, state_report(epoch));
+                let (seq, request) = recv_request(&peer);
+                match request {
                     Message::SchedulingSolution {
                         epoch: e,
                         machine_of,
@@ -547,12 +400,12 @@ mod tests {
                     }
                     other => panic!("unexpected {other:?}"),
                 }
-                peer.send(&Message::RewardReport {
+                let reward = Message::RewardReport {
                     epoch,
                     avg_tuple_ms: 2.0 - epoch as f64 * 0.1,
                     measurements: vec![2.0],
-                })
-                .unwrap();
+                };
+                reply(&peer, seq, reward);
             }
             peer.send(&Message::Bye).unwrap();
         })
@@ -564,15 +417,18 @@ mod tests {
         let server = fake_scheduler(theirs, 3);
         let mut agent = AgentClient::new(mine, "test-agent");
         assert_eq!(agent.handshake().unwrap(), "fake-nimbus");
+        let policy = RetryPolicy::default();
         let mut rewards = Vec::new();
-        while let Some(r) = agent
-            .run_epoch(|state| {
-                // Trivial policy: move everything to machine 0.
-                vec![0; state.machine_of.len()]
-            })
-            .unwrap()
-        {
-            rewards.push(r.avg_tuple_ms);
+        // The scheduler's goodbye (or its vanished transport) ends the run
+        // as an unreachable master.
+        while let Ok(state) = agent.reliable_fetch_state(&policy, || {}) {
+            // Trivial policy: move everything to machine 0.
+            let solution = vec![0; state.machine_of.len()];
+            let reward = agent
+                .reliable_solution(state.epoch, solution, state.n_machines, &policy, || {})
+                .unwrap();
+            assert_eq!(reward.epoch, state.epoch);
+            rewards.push(reward.avg_tuple_ms);
         }
         assert_eq!(rewards.len(), 3);
         assert!(rewards[2] < rewards[0]);
@@ -583,81 +439,33 @@ mod tests {
     fn error_report_surfaces_as_invalid_solution() {
         let (mine, theirs) = ChannelTransport::pair();
         let server = std::thread::spawn(move || {
-            theirs
-                .send(&Message::StateReport {
-                    epoch: 0,
-                    machine_of: vec![0],
-                    n_machines: 1,
-                    source_rates: vec![],
-                    rate_multiplier: 1.0,
-                })
-                .unwrap();
-            let _ = theirs.recv().unwrap();
-            theirs
-                .send(&Message::Error {
-                    code: 2,
-                    detail: "bad shape".into(),
-                })
-                .unwrap();
+            let (seq, _) = recv_request(&theirs);
+            reply(&theirs, seq, state_report(0));
+            let (seq, _) = recv_request(&theirs);
+            let error = Message::Error {
+                code: 2,
+                detail: "bad shape".into(),
+            };
+            reply(&theirs, seq, error);
         });
         let mut agent = AgentClient::new(mine, "test-agent");
-        let err = agent.run_epoch(|_| vec![0]).unwrap_err();
+        let policy = RetryPolicy::default();
+        let state = agent.reliable_fetch_state(&policy, || {}).unwrap();
+        let err = agent
+            .reliable_solution(state.epoch, vec![0], state.n_machines, &policy, || {})
+            .unwrap_err();
         assert!(matches!(err, NimbusError::InvalidSolution(_)));
         server.join().unwrap();
     }
 
     #[test]
-    fn early_state_report_is_stashed_for_next_poll() {
-        // An out-of-process master pushes the next epoch's state before
-        // the agent asks for it; the agent must not lose or reorder it.
-        let (mine, theirs) = ChannelTransport::pair();
-        theirs
-            .send(&Message::StateReport {
-                epoch: 1,
-                machine_of: vec![0, 1],
-                n_machines: 2,
-                source_rates: vec![(0, 10.0)],
-                rate_multiplier: 2.0,
-            })
-            .unwrap();
-        theirs
-            .send(&Message::RewardReport {
-                epoch: 0,
-                avg_tuple_ms: 2.0,
-                measurements: vec![2.0],
-            })
-            .unwrap();
-        theirs
-            .send(&Message::StatsReport {
-                avg_latency_ms: 2.0,
-                executor_rates: vec![5.0, 5.0],
-                executor_sojourn_ms: vec![0.0, 0.0],
-                machine_cpu_cores: vec![0.5, 0.5],
-                machine_cross_kib_s: vec![1.0, 1.0],
-                edge_transfer_ms: vec![0.1],
-                completed: 10,
-                failed: 0,
-            })
-            .unwrap();
-        let mut agent = AgentClient::new(mine, "test-agent");
-        // Reward first (stream carries the state ahead of it)…
-        let reward = agent.recv_reward().unwrap().unwrap();
-        assert_eq!(reward.epoch, 0);
-        // …then stats (state still stashed, not consumed)…
-        let stats = agent.recv_stats().unwrap().unwrap();
-        assert_eq!(stats.completed, 10);
-        assert_eq!(stats.executor_rates.len(), 2);
-        // …and the stashed state surfaces on the next poll.
-        let state = agent.poll_state().unwrap().unwrap();
-        assert_eq!(state.epoch, 1);
-        assert_eq!(state.rate_multiplier, 2.0);
-    }
-
-    #[test]
-    fn disconnect_mid_epoch_returns_none() {
+    fn disconnect_mid_epoch_is_unreachable_not_a_hang() {
         let (mine, theirs) = ChannelTransport::pair();
         drop(theirs);
         let mut agent = AgentClient::new(mine, "test-agent");
-        assert!(agent.run_epoch(|_| vec![]).unwrap().is_none());
+        let err = agent
+            .reliable_fetch_state(&RetryPolicy::default(), || {})
+            .unwrap_err();
+        assert!(matches!(err, NimbusError::Unreachable { attempts: 1 }));
     }
 }

@@ -170,9 +170,10 @@ impl NimbusSet {
         self.active.as_ref().map(|(n, _)| n)
     }
 
-    /// The active master (mutable), if any. The plain (non-reliable)
-    /// serve path delegates through this, bypassing persistence entirely —
-    /// zero-fault trajectories stay bit-identical to a bare [`Nimbus`].
+    /// The active master (mutable), if any. A run that schedules neither
+    /// link nor master faults serves its requests through this
+    /// ([`Nimbus::serve_step`]), skipping the per-request commit — the
+    /// trajectory is bit-identical either way.
     pub fn active_mut(&mut self) -> Option<&mut Nimbus> {
         self.active.as_mut().map(|(n, _)| n)
     }

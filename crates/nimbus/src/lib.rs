@@ -15,8 +15,8 @@
 //!   storage in the coordination service, the minimal-impact deployment
 //!   path onto the simulator, the paper's reward-measurement protocol,
 //!   failure detection (supervisor session expiry) and repair scheduling;
-//! * [`agent::AgentClient`] — the agent side of the socket protocol, with
-//!   a pluggable decision function, so any `dss-core` scheduler can drive
+//! * [`agent::AgentClient`] — the agent side of the socket protocol, one
+//!   typed call per move of an epoch, so any `dss-core` scheduler can drive
 //!   a remote Nimbus exactly as the paper's external DRL agent does.
 //!
 //! Machine failure is modelled at the control plane: a crashed machine
@@ -39,7 +39,7 @@
 //!   [`NimbusError::NoLiveMachines`] — never a hang.
 //! * **Network faults** (the agent↔master link drops, delays, duplicates,
 //!   reorders, corrupts, or partitions messages — `dss-proto`'s
-//!   `ChaosTransport`). Handled by the *reliable exchange*: the agent
+//!   `ChaosTransport`). Handled by the exchange itself: the agent
 //!   wraps each call in a sequence-numbered envelope
 //!   ([`agent::AgentClient::reliable_call`]) and retransmits it under a
 //!   [`RetryPolicy`] (exponential backoff with deterministic jitter,
@@ -74,10 +74,13 @@
 //!   4 = invalid workload) and leave the master serving; anything else is
 //!   a typed [`NimbusError`], never a panic.
 //!
-//! The plain `serve_epoch`/`drive_epoch` exchange is untouched by all of
-//! this: with no chaos configured, the wire traffic — and therefore every
-//! simulated trajectory — is bit-identical to the pre-reliability
-//! protocol.
+//! There is one exchange: a clean link carries the same sequence-numbered
+//! requests and answers as a faulty one, only never retransmitted, and an
+//! embedder whose run schedules neither link nor master faults may serve
+//! them from the leader directly ([`Nimbus::serve_step`]) instead of
+//! through the pool ([`NimbusSet::serve_step`]), sparing the per-request
+//! commit. Either way the engine sees the same deploys and epochs, so
+//! every simulated trajectory is bit-identical.
 
 pub mod agent;
 pub mod error;

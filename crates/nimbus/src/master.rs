@@ -74,14 +74,14 @@ pub struct NimbusConfig {
     /// Must be well below the coordination session timeout.
     pub heartbeat_interval_s: f64,
     /// Run failure detection + repair automatically before every served
-    /// state report (`serve_epoch`), tolerating a fully dead cluster
-    /// (repair resumes once a machine restarts). When off, the embedder
-    /// drives [`Nimbus::detect_and_repair`] itself.
+    /// state report (a `StateRequest` to [`Nimbus::serve_step`]),
+    /// tolerating a fully dead cluster (repair resumes once a machine
+    /// restarts). When off, the embedder drives
+    /// [`Nimbus::detect_and_repair`] itself.
     pub auto_repair: bool,
-    /// Retry/timeout/backoff knobs for the reliable request/response
-    /// exchange ([`Nimbus::serve_step`] on this side,
-    /// `AgentClient::reliable_call` on the other). Unused by the plain
-    /// `serve_epoch` path.
+    /// Retry/timeout/backoff knobs for the request/response exchange
+    /// ([`Nimbus::serve_step`] on this side, `AgentClient::reliable_call`
+    /// on the other).
     pub retry: RetryPolicy,
 }
 
@@ -541,154 +541,20 @@ impl Nimbus {
         }
     }
 
-    /// Serve one decision epoch over the socket: (optionally) repair, send
-    /// the state, apply the returned solution, measure, and report the
-    /// reward. Returns `false` if the agent said goodbye.
-    pub fn serve_epoch(&mut self, transport: &dyn Transport) -> Result<bool, NimbusError> {
-        if !self.send_state(transport)? {
-            return Ok(false);
-        }
-        self.serve_solution(transport)
-    }
-
-    /// First half of an epoch: run auto-repair (when configured) so the
-    /// reported assignment reflects any failure handling, then send the
-    /// state report. Returns `false` if the agent disconnected.
+    /// Serve one message of the request/response exchange, waiting at
+    /// most `wait` for one to arrive.
     ///
-    /// Exposed separately so a *synchronous in-process* pairing (master
-    /// and agent in one thread over a `ChannelTransport`, as
-    /// `dss-core::env::ClusterEnv` runs it) can interleave the two halves
-    /// with the agent's sends without ever blocking.
-    pub fn send_state(&mut self, transport: &dyn Transport) -> Result<bool, NimbusError> {
-        if self.config.auto_repair {
-            match self.detect_and_repair() {
-                // A fully dead cluster has nothing to repair *onto*; keep
-                // serving (measurements will report an empty window) until
-                // a restart revives a machine and repair resumes.
-                Ok(_) | Err(NimbusError::NoLiveMachines) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        match transport.send(&self.state_message()) {
-            Ok(()) => Ok(true),
-            // An agent that already left is an orderly end of service.
-            Err(ProtoError::Disconnected) => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Second half of an epoch: wait for the agent's scheduling solution
-    /// (answering heartbeats, workload updates and stats requests on the
-    /// way), apply it, measure, and report the reward. Returns `false` if
-    /// the agent said goodbye.
-    pub fn serve_solution(&mut self, transport: &dyn Transport) -> Result<bool, NimbusError> {
-        loop {
-            match transport.recv() {
-                Ok(Message::SchedulingSolution {
-                    epoch,
-                    machine_of,
-                    n_machines,
-                }) => {
-                    if epoch != self.epoch {
-                        transport.send(&Message::Error {
-                            code: 1,
-                            detail: format!("stale epoch {epoch}, expected {}", self.epoch),
-                        })?;
-                        continue;
-                    }
-                    if n_machines != self.engine.cluster().n_machines() {
-                        return Err(NimbusError::InvalidSolution(format!(
-                            "agent believes cluster has {n_machines} machines"
-                        )));
-                    }
-                    match self.apply_solution(&machine_of) {
-                        Ok(_) => {}
-                        Err(NimbusError::InvalidSolution(why)) => {
-                            transport.send(&Message::Error {
-                                code: 2,
-                                detail: why.clone(),
-                            })?;
-                            return Err(NimbusError::InvalidSolution(why));
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    let (measurements, mean) = self.measure_reward().unwrap_or((Vec::new(), 0.0));
-                    transport.send(&Message::RewardReport {
-                        // The reward answers the *previous* epoch's state.
-                        epoch: self.epoch - 1,
-                        avg_tuple_ms: mean,
-                        measurements,
-                    })?;
-                    return Ok(true);
-                }
-                Ok(msg) => match self.serve_aux(msg, transport)? {
-                    AuxOutcome::Handled => {}
-                    AuxOutcome::Goodbye => return Ok(false),
-                },
-                Err(ProtoError::Disconnected) => return Ok(false),
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Drain and answer every already-queued auxiliary message (heartbeat,
-    /// workload update, stats request) without blocking — the pump a
-    /// synchronous in-process pairing calls between epoch halves.
-    pub fn serve_pending(&mut self, transport: &dyn Transport) -> Result<(), NimbusError> {
-        loop {
-            match transport.recv_timeout(Duration::ZERO) {
-                Ok(Some(msg)) => match self.serve_aux(msg, transport)? {
-                    AuxOutcome::Handled => {}
-                    AuxOutcome::Goodbye => return Ok(()),
-                },
-                Ok(None) => return Ok(()),
-                Err(ProtoError::Disconnected) => return Ok(()),
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Handle one auxiliary (non-solution) message.
-    fn serve_aux(
-        &mut self,
-        msg: Message,
-        transport: &dyn Transport,
-    ) -> Result<AuxOutcome, NimbusError> {
-        match msg {
-            Message::Heartbeat { .. } => {
-                transport.send(&Message::Heartbeat {
-                    now_ms: (self.engine.now() * 1000.0) as u64,
-                })?;
-                Ok(AuxOutcome::Handled)
-            }
-            Message::WorkloadUpdate { source_rates } => {
-                self.apply_workload_update(&source_rates)?;
-                Ok(AuxOutcome::Handled)
-            }
-            Message::StatsRequest => {
-                transport.send(&self.stats_message())?;
-                Ok(AuxOutcome::Handled)
-            }
-            Message::Bye => Ok(AuxOutcome::Goodbye),
-            _ => Err(NimbusError::UnexpectedMessage("awaiting solution")),
-        }
-    }
-
-    /// Serve one message of the *reliable* request/response exchange,
-    /// waiting at most `wait` for one to arrive.
-    ///
-    /// This is the unreliable-network counterpart of
-    /// [`Nimbus::serve_epoch`]: the agent initiates every exchange with a
-    /// sequence-numbered [`Message::Wrapped`] request
-    /// (`AgentClient::reliable_call` on the other side), and the master
-    /// answers with a response wrapped in the same sequence number (or a
-    /// bare [`Message::Ack`] when the request has no payload to return).
-    /// A retransmitted request — same sequence number — is *not*
-    /// re-applied: the cached response is replayed, making retransmits
-    /// idempotent even for state-changing requests like scheduling
-    /// solutions. Recoverable problems (stale epoch, invalid solution,
-    /// invalid workload) are answered with a wrapped [`Message::Error`]
-    /// rather than killing the serve loop.
+    /// The agent initiates every exchange — state fetch, workload update,
+    /// scheduling solution, stats, resume — with a sequence-numbered
+    /// [`Message::Wrapped`] request (`AgentClient::reliable_call` on the
+    /// other side), and the master answers with a response wrapped in the
+    /// same sequence number (or a bare [`Message::Ack`] when the request
+    /// has no payload to return). A retransmitted request — same sequence
+    /// number — is *not* re-applied: the cached response is replayed,
+    /// making retransmits idempotent even for state-changing requests
+    /// like scheduling solutions. Recoverable problems (stale epoch,
+    /// invalid solution, invalid workload) are answered with a wrapped
+    /// [`Message::Error`] rather than killing the serve loop.
     pub fn serve_step(
         &mut self,
         transport: &dyn Transport,
@@ -767,8 +633,10 @@ impl Nimbus {
             Message::StateRequest => {
                 if self.config.auto_repair {
                     match self.detect_and_repair() {
-                        // Same tolerance as `send_state`: a fully dead
-                        // cluster keeps serving until a restart.
+                        // A fully dead cluster has nothing to repair
+                        // *onto*; keep serving (measurements will report
+                        // an empty window) until a restart revives a
+                        // machine and repair resumes.
                         Ok(_) | Err(NimbusError::NoLiveMachines) => {}
                         Err(e) => return Err(e),
                     }
@@ -920,14 +788,6 @@ impl Nimbus {
         self.suspect = false;
         Ok(outcome)
     }
-}
-
-/// What [`Nimbus::serve_aux`] did with an auxiliary message.
-enum AuxOutcome {
-    /// Answered/applied; keep going.
-    Handled,
-    /// The agent said goodbye.
-    Goodbye,
 }
 
 /// What one [`Nimbus::serve_step`] call did.

@@ -1,6 +1,6 @@
 //! Retry/timeout/backoff policy for the reliable request/response layer.
 //!
-//! The unreliable-network protocol (see the crate docs' failure model)
+//! The control-plane exchange (see the crate docs' failure model)
 //! wraps each agent call in a sequence-numbered envelope and retransmits
 //! it until a matching response arrives or the policy's attempt budget is
 //! exhausted. [`RetryPolicy`] carries every knob: attempt count, the

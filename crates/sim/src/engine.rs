@@ -165,11 +165,7 @@ impl SimEngine {
             service_rng: rng::stream(config.seed, 2),
             routing_rng: rng::stream(config.seed, 3),
             fields_keys,
-            events: if dense_events_requested() {
-                EventQueue::new_dense()
-            } else {
-                EventQueue::new()
-            },
+            events: EventQueue::new(),
             clock: 0.0,
             events_processed: 0,
             started: false,
@@ -193,9 +189,7 @@ impl SimEngine {
 
     /// Selects the dense linear-scan event backend — the correctness
     /// oracle and bench baseline whose per-event cost is O(pending events)
-    /// instead of O(log) — or the default calendar heap. Also selectable
-    /// process-wide via the `DSS_DENSE_EVENTS` env var (any non-empty
-    /// value other than `0`).
+    /// instead of O(log) — or the default calendar heap.
     ///
     /// # Panics
     /// Panics after the first deploy: the backend cannot change mid-run.
@@ -715,11 +709,6 @@ impl SimEngine {
             }
         }
     }
-}
-
-/// Whether `DSS_DENSE_EVENTS` asks for the dense oracle backend.
-fn dense_events_requested() -> bool {
-    std::env::var("DSS_DENSE_EVENTS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 #[cfg(test)]

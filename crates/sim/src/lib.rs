@@ -73,13 +73,12 @@
 //! pending event per pop (O(pending) per event) and keeps a permanent 1 Hz
 //! poll per idle spout — is preserved as a correctness oracle and bench
 //! baseline. Select it per engine with
-//! [`engine::SimEngine::set_dense_events`] (before the first deploy) or
-//! process-wide with the `DSS_DENSE_EVENTS` env var. Both backends share
-//! one `(time, seq)` event order and polls consume no randomness, so dense
-//! and calendar runs produce **bit-identical latency trajectories** on
-//! every registry scenario — asserted by tests and the CI fleet-smoke job,
-//! and exploited by the `fleet_engine_step` bench pair that gates the
-//! dense-vs-event speedup under mostly-idle load.
+//! [`engine::SimEngine::set_dense_events`] (before the first deploy). Both
+//! backends share one `(time, seq)` event order and polls consume no
+//! randomness, so dense and calendar runs produce **bit-identical latency
+//! trajectories** on every registry scenario — asserted by tests and the CI
+//! fleet-smoke job, and exploited by the `fleet_engine_step` bench pair
+//! that gates the dense-vs-event speedup under mostly-idle load.
 
 pub mod analytic;
 pub mod assignment;

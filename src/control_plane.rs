@@ -15,11 +15,13 @@
 //!                                       └─────────────────────────────┘
 //! ```
 //!
-//! Per decision epoch: the custom scheduler reports the state `s = (X, w)`
-//! over the socket; the agent's scheduler proposes a solution; Nimbus
+//! Per decision epoch, over the same ack'd request/response exchange
+//! `dss-core`'s `ClusterEnv` speaks (`AgentClient::reliable_*` against
+//! `Nimbus::serve_step`): the agent fetches the state `s = (X, w)` from the
+//! custom scheduler; the agent's scheduler proposes a solution; Nimbus
 //! deploys it minimally (only moved executors), waits for the system to
 //! re-stabilize, measures the average tuple processing time with the
-//! paper's 5×10 s protocol, and reports it back; the agent converts it to
+//! paper's 5×10 s protocol, and answers with it; the agent converts it to
 //! a reward, lets the scheduler learn, and appends the `(s, a, r, s')`
 //! sample to the durable transition database.
 //!
@@ -29,10 +31,14 @@
 //! serving the next epoch (paper §2.1's failure handling).
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use dss_coord::{CoordConfig, CoordService};
 use dss_core::{RewardScale, SchedState, Scheduler};
-use dss_nimbus::{AgentClient, MeasureProtocol, Nimbus, NimbusConfig, NimbusError, SupervisorSet};
+use dss_nimbus::{
+    AgentClient, MeasureProtocol, Nimbus, NimbusConfig, NimbusError, RetryPolicy, ServeStep,
+    SupervisorSet,
+};
 use dss_proto::{ChannelTransport, Message, TcpTransport, Transport};
 use dss_sim::{Assignment, ClusterSpec, SimConfig, SimEngine, Topology, Workload};
 use dss_store::{StoreError, TransitionDb, TransitionRecord};
@@ -168,7 +174,7 @@ pub fn run_control_plane(
             ident: "dss-nimbus/0.1".into(),
             heartbeat_interval_s: (config.session_timeout_ms as f64 / 1000.0 / 4.0).max(1.0),
             auto_repair: false,
-            retry: dss_nimbus::RetryPolicy::default(),
+            retry: RetryPolicy::default(),
         },
     )?;
     let supervisors = SupervisorSet::register(&coord, cluster.n_machines())
@@ -214,6 +220,9 @@ pub fn run_control_plane(
     }
 }
 
+/// How long the cluster thread waits for a request before looking again.
+const SERVE_WAIT: Duration = Duration::from_millis(20);
+
 /// Spawn the cluster thread: handshake, then serve epochs, crashing and
 /// repairing machines as configured.
 fn spawn_cluster<F, T>(
@@ -231,7 +240,7 @@ where
         let transport = make_transport()?;
         nimbus.handshake(&transport)?;
         let mut repairs = 0usize;
-        for epoch in 0..epochs {
+        'epochs: for epoch in 0..epochs {
             if let Some((e, m)) = crash_at {
                 if e == epoch {
                     nimbus.crash_machine(m);
@@ -240,8 +249,12 @@ where
             if nimbus.detect_and_repair()?.is_some() {
                 repairs += 1;
             }
-            if !nimbus.serve_epoch(&transport)? {
-                break;
+            // One epoch is served once a solution has been accepted.
+            let serving = nimbus.epoch();
+            while nimbus.epoch() == serving {
+                if nimbus.serve_step(&transport, SERVE_WAIT)? == ServeStep::Goodbye {
+                    break 'epochs;
+                }
             }
         }
         let _ = transport.send(&Message::Bye);
@@ -264,32 +277,35 @@ fn drive_agent<T: Transport>(
 ) -> Result<ControlPlaneReport, ControlPlaneError> {
     let mut agent = AgentClient::new(transport, "dss-agent/0.1");
     let scheduler_ident = agent.handshake()?;
+    let policy = RetryPolicy::default();
     let mut epoch_latency_ms = Vec::with_capacity(config.epochs);
 
     for _ in 0..config.epochs {
-        // The decision made inside the closure, extracted for `observe`.
-        let mut pending: Option<(SchedState, Assignment)> = None;
-        let outcome = agent.run_epoch(|view| {
-            let assignment = Assignment::new(view.machine_of.clone(), view.n_machines)
-                .expect("scheduler sent a valid assignment");
-            let rates: Vec<(usize, f64)> = view
-                .source_rates
-                .iter()
-                .map(|&(c, r)| (c as usize, r))
-                .collect();
-            let workload = Workload::new(rates, topology)
-                .expect("scheduler reported rates for valid components");
-            let state = SchedState::new(assignment, workload);
-            let action = scheduler.schedule(&state);
-            let solution = action.as_slice().to_vec();
-            pending = Some((state, action));
-            solution
-        })?;
-
-        let Some(reward_view) = outcome else {
-            break; // scheduler side shut down early
+        let view = match agent.reliable_fetch_state(&policy, || {}) {
+            Ok(view) => view,
+            // The scheduler side shut down early; its own result, joined
+            // below, says why.
+            Err(NimbusError::Unreachable { .. }) => break,
+            Err(e) => return Err(e.into()),
         };
-        let (state, action) = pending.expect("decision recorded before reward");
+        let assignment = Assignment::new(view.machine_of, view.n_machines)
+            .expect("scheduler sent a valid assignment");
+        let rates: Vec<(usize, f64)> = view
+            .source_rates
+            .iter()
+            .map(|&(c, r)| (c as usize, r))
+            .collect();
+        let workload =
+            Workload::new(rates, topology).expect("scheduler reported rates for valid components");
+        let state = SchedState::new(assignment, workload);
+        let action = scheduler.schedule(&state);
+        let solution = action.as_slice().to_vec();
+        let reward_view =
+            match agent.reliable_solution(view.epoch, solution, view.n_machines, &policy, || {}) {
+                Ok(reward) => reward,
+                Err(NimbusError::Unreachable { .. }) => break,
+                Err(e) => return Err(e.into()),
+            };
         let avg_ms = reward_view.avg_tuple_ms;
         epoch_latency_ms.push(avg_ms);
 
