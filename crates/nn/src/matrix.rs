@@ -214,10 +214,9 @@ impl<S: Scalar> Matrix<S> {
     /// Reshapes in place to `rows × cols`, reusing the existing allocation
     /// when capacity allows (`Vec::resize` semantics: the flat buffer's
     /// common prefix is preserved, growth is zero-filled). Callers may
-    /// rely on prefix preservation when growing a matrix *row-wise* —
-    /// the minibatch assembly in `dss-rl` appends candidate rows this
-    /// way — but a width change rearranges which `(r, c)` each retained
-    /// element lands at. This is the resize every `_into` kernel applies
+    /// rely on prefix preservation when growing a matrix *row-wise*, but
+    /// a width change rearranges which `(r, c)` each retained element
+    /// lands at. This is the resize every `_into` kernel applies
     /// to its output, so steady-state shapes never reallocate.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
@@ -507,15 +506,31 @@ fn pack_transpose<S: Scalar>(m: &Matrix<S>, pack: &mut Vec<S>) {
 }
 
 /// Writes the transpose of a rows×cols row-major buffer into `out`
-/// (cols×rows row-major). Iterates the *source* row-major so reads stream;
-/// writes stride by `rows`, which stays cheap at this workspace's sizes.
-fn transpose_into<S: Scalar>(src: &[S], rows: usize, cols: usize, out: &mut [S]) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(out.len(), rows * cols);
-    for r in 0..rows {
-        let row = &src[r * cols..(r + 1) * cols];
-        for (c, &v) in row.iter().enumerate() {
-            out[c * rows + r] = v;
+/// (cols×rows row-major), one `TRANSPOSE_ROWS × TRANSPOSE_COLS` source
+/// tile at a time: each output row receives `TRANSPOSE_ROWS` contiguous
+/// elements (a cache line of f32) and a tile's source lines are used up
+/// before they can be evicted. Walking whole source rows instead strides
+/// every write by `rows` and sweeps the entire output once per source row,
+/// which stops being cheap once the output outgrows the cache: 148 ms
+/// against 17 ms for the fleet critic's 64 × 294 913 first layer, 266
+/// against 67 µs at 64 × 2001, no difference at 64 × 161.
+///
+/// # Panics
+/// Panics when either buffer is not `rows · cols` long.
+pub(crate) fn transpose_into<S: Scalar>(src: &[S], rows: usize, cols: usize, out: &mut [S]) {
+    const TRANSPOSE_ROWS: usize = 16;
+    const TRANSPOSE_COLS: usize = 32;
+    assert_eq!(src.len(), rows * cols, "transpose source size");
+    assert_eq!(out.len(), rows * cols, "transpose output size");
+    for r0 in (0..rows).step_by(TRANSPOSE_ROWS) {
+        let r1 = (r0 + TRANSPOSE_ROWS).min(rows);
+        for c0 in (0..cols).step_by(TRANSPOSE_COLS) {
+            for c in c0..(c0 + TRANSPOSE_COLS).min(cols) {
+                let dst = &mut out[c * rows + r0..c * rows + r1];
+                for (d, r) in dst.iter_mut().zip(r0..r1) {
+                    *d = src[r * cols + c];
+                }
+            }
         }
     }
 }
@@ -1158,7 +1173,7 @@ mod tests {
 #[cfg(test)]
 mod property_tests {
     use super::reference;
-    use super::{Matrix, Scalar};
+    use super::{transpose_into, Matrix, Scalar};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -1218,6 +1233,17 @@ mod property_tests {
         Ok(())
     }
 
+    /// Ragged shapes around the transpose's tile edges, plus the two
+    /// aspect ratios the layer caches produce (`cols ≫ rows` for a wide
+    /// first layer, `rows ≫ cols` for a wide output layer).
+    fn transpose_shape() -> impl Strategy<Value = (usize, usize)> {
+        prop_oneof![
+            (1usize..=70, 1usize..=70),
+            Just((64usize, 2001usize)),
+            Just((1000usize, 32usize)),
+        ]
+    }
+
     /// Shape strategy: each dimension 0..64, with 0 and 1 over-weighted so
     /// empty and row/column-vector cases appear often.
     fn dim() -> impl Strategy<Value = usize> {
@@ -1235,6 +1261,18 @@ mod property_tests {
         #[test]
         fn blocked_kernels_match_naive_f32((m, k, n, seed) in (dim(), dim(), dim(), 0u64..1 << 32)) {
             check_all_products::<f32>(m, k, n, seed)?;
+        }
+
+        #[test]
+        fn blocked_transpose_matches_its_definition(((rows, cols), seed) in (transpose_shape(), 0u64..1 << 32)) {
+            let src = random_matrix::<f32>(rows, cols, seed);
+            let mut out = vec![f32::NAN; rows * cols];
+            transpose_into(src.data(), rows, cols, &mut out);
+            for r in 0..rows {
+                for c in 0..cols {
+                    prop_assert_eq!(out[c * rows + r].to_bits(), src[(r, c)].to_bits());
+                }
+            }
         }
 
         #[test]

@@ -1,10 +1,12 @@
 //! Multi-layer perceptron with manual backprop.
 //!
-//! Training-path calls (`forward`, `backward`, `input_gradient`) return
-//! references into per-layer scratch owned by the network, so one full
-//! forward + backward step allocates nothing once shapes are warm — the
-//! property the DRL training loop's throughput rests on. Allocation is
-//! confined to the convenience inference API (`infer`, `infer_one`).
+//! Training-path calls (`forward`, `backward`, `backward_params`,
+//! `input_gradient`, and the sparse-input pair `accumulate_first_layer` +
+//! `forward_after_first`) work in per-layer scratch owned by the network
+//! or in caller-owned rows, so one full training step allocates nothing
+//! once shapes are warm — the property the DRL training loop's throughput
+//! rests on. Allocation is confined to the convenience inference API
+//! (`infer`, `infer_one`).
 
 use rand::rngs::StdRng;
 
@@ -111,11 +113,43 @@ impl<S: Scalar> Mlp<S> {
     /// [`Mlp::backward`]. The returned batch is borrowed from the last
     /// layer's scratch; zero allocations once shapes are warm.
     pub fn forward(&mut self, x: &Matrix<S>) -> &Matrix<S> {
-        for i in 0..self.layers.len() {
+        self.forward_from(0, x);
+        self.layers.last().expect("non-empty network").output()
+    }
+
+    /// Runs layers `start..` over `x`, each reading its predecessor's
+    /// scratch output.
+    fn forward_from(&mut self, start: usize, x: &Matrix<S>) {
+        for i in start..self.layers.len() {
             let (done, rest) = self.layers.split_at_mut(i);
-            let input = if i == 0 { x } else { done[i - 1].output() };
+            let input = if i == start { x } else { done[i - 1].output() };
             rest[0].forward(input);
         }
+    }
+
+    /// [`Dense::accumulate_packed_rows`] on the first layer: continues one
+    /// first-layer pre-activation row from the `(column, value)` support
+    /// of an input row, so a one-hot or otherwise sparse input is never
+    /// materialised. Finish the row with the first layer's
+    /// [`Dense::finish_row`] and hand the batch of finished rows to
+    /// [`Mlp::forward_after_first`].
+    pub fn accumulate_first_layer(&mut self, pairs: &[(usize, S)], acc: &mut [S]) {
+        self.layers[0].accumulate_packed_rows(pairs, acc);
+    }
+
+    /// The rest of [`Mlp::forward`], given the first layer's activated
+    /// output batch (`batch × first hidden width`): layers 2… run dense
+    /// exactly as `forward` runs them, so with first-layer rows built by
+    /// [`Mlp::accumulate_first_layer`] the result equals `forward` over
+    /// the dense input bit for bit. The first layer keeps no record of
+    /// this pass — it is for forwards that are not differentiated (target
+    /// networks).
+    ///
+    /// # Panics
+    /// Panics on a single-layer network or a width mismatch.
+    pub fn forward_after_first(&mut self, first_out: &Matrix<S>) -> &Matrix<S> {
+        assert!(self.layers.len() > 1, "no layer after the first");
+        self.forward_from(1, first_out);
         self.layers.last().expect("non-empty network").output()
     }
 
@@ -343,6 +377,53 @@ mod tests {
         case::<f64>(&[4, 6, 2], &acts2);
         case::<f32>(&[4, 6, 5, 2], &acts3);
         case::<f32>(&[4, 6, 2], &acts2);
+    }
+
+    /// `accumulate_first_layer` + `forward_after_first` over the supports
+    /// of a sparse batch equal `forward` over the dense batch bit for bit,
+    /// and keep doing so across every kind of weight update (the first
+    /// layer's `Wᵀ` cache must be refreshed, not reused).
+    #[test]
+    fn sparse_first_layer_forward_matches_forward_across_updates() {
+        fn case<S: crate::scalar::Scalar>() {
+            let acts = [Activation::Tanh, Activation::Tanh, Activation::Identity];
+            let mut net: Mlp<S> = Mlp::new(&[23, 70, 6, 3], &acts, 5);
+            let other: Mlp<S> = Mlp::new(&[23, 70, 6, 3], &acts, 6);
+            let x: Matrix<S> = Matrix::from_fn(5, 23, |r, c| match (r + c) % 4 {
+                0 => S::from_f64(0.1 * c as f64 - 0.9),
+                1 => S::ONE,
+                _ => S::ZERO,
+            });
+            let mut first_out = Matrix::default();
+            let mut check = |net: &mut Mlp<S>, what: &str| {
+                let want = net.forward(&x).clone();
+                first_out.resize(x.rows(), 70);
+                for r in 0..x.rows() {
+                    let pairs: Vec<(usize, S)> = (0..23)
+                        .filter(|&c| x[(r, c)] != S::ZERO)
+                        .map(|c| (c, x[(r, c)]))
+                        .collect();
+                    let row = first_out.row_mut(r);
+                    row.fill(S::ZERO);
+                    net.accumulate_first_layer(&pairs, row);
+                    net.layers()[0].finish_row(row);
+                }
+                assert_eq!(net.forward_after_first(&first_out), &want, "after {what}");
+            };
+            check(&mut net, "construction");
+            net.layers_mut()[0].params_mut()[0][3] = S::from_f64(7.0);
+            check(&mut net, "params_mut");
+            net.zero_grad();
+            net.backward_params(&Matrix::from_fn(5, 3, |r, c| S::from_f64((r + c) as f64)));
+            net.apply_gradients(&mut Sgd::new(0.1, 0.0));
+            check(&mut net, "apply_gradients");
+            net.soft_update_from(&other, 0.3);
+            check(&mut net, "soft_update_from");
+            net.copy_params_from(&other);
+            check(&mut net, "copy_params_from");
+        }
+        case::<f32>();
+        case::<f64>();
     }
 
     #[test]

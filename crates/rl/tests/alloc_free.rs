@@ -1,5 +1,5 @@
-//! Counting-allocator proof that the act path is allocation-free
-//! once warm.
+//! Counting-allocator proof that the act path and the train step are
+//! allocation-free once warm.
 //!
 //! `DdpgAgent::select_action_among` is the one decision kernel: every
 //! parallel-collector actor runs it with no extras
@@ -9,12 +9,14 @@
 //! the thread-local GEMM pack buffers), then assert that further
 //! decisions perform **zero** heap allocations — so a regression that
 //! reintroduces a per-step `Vec` or `clone` fails CI instead of silently
-//! taxing every control epoch.
+//! taxing every control epoch. `DdpgAgent::train_step` gets the same
+//! treatment on a serial pool: its minibatch, supports and layer scratch
+//! all live in the agent and are resized in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dss_rl::{ActScratch, DdpgAgent, DdpgConfig, KBestMapper};
+use dss_rl::{ActScratch, DdpgAgent, DdpgConfig, Elem, KBestMapper, Transition};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -120,4 +122,53 @@ fn warm_decision_over_an_elite_memory_allocates_nothing() {
         .map(|e| (0..6).map(|i| (e + i) % 4).collect())
         .collect();
     warm_decisions_allocate_nothing(&elites);
+}
+
+/// The learner's case: a warm `train_step` — minibatch assembly, the
+/// support-driven target scoring, both dense updates and the soft target
+/// updates — acquires nothing. Measured on a serial pool: handing bands
+/// to pool workers queues boxed jobs, which is the pool's business.
+#[test]
+fn warm_train_step_allocates_nothing() {
+    let (n, m) = (6usize, 4usize);
+    let state_dim = n * m + 1;
+    let mut agent = DdpgAgent::new(state_dim, n * m, DdpgConfig::default());
+    let mut mapper = KBestMapper::new(n, m);
+    let mut rng = StdRng::seed_from_u64(11);
+    let control_state = |rng: &mut StdRng| {
+        let mut state: Vec<Elem> = vec![0.0; state_dim];
+        for i in 0..n {
+            state[i * m + rng.random_range(0..m)] = 1.0;
+        }
+        state[n * m] = rng.random_range(0.1..1.0);
+        state
+    };
+    for _ in 0..64 {
+        let (state, next) = (control_state(&mut rng), control_state(&mut rng));
+        let action = control_state(&mut rng)[..n * m].to_vec();
+        let reward = rng.random_range(-3.0..-0.5);
+        agent.store(Transition::new(state, action, reward, next));
+    }
+
+    let serial = std::sync::Arc::new(workpool::Pool::new(1));
+    let (allocs, loss) = workpool::with_pool(serial, || {
+        // Warm-up: sizes the minibatch matrices, every layer's scratch and
+        // `Wᵀ` cache, the optimizer moments and the mapper workspaces.
+        for _ in 0..8 {
+            agent.train_step(&mut mapper, &mut rng);
+        }
+        ALLOCS.set(Some(0));
+        let mut loss = 0.0;
+        for _ in 0..50 {
+            loss += agent
+                .train_step(&mut mapper, &mut rng)
+                .expect("replay filled");
+        }
+        (ALLOCS.replace(None).expect("set above"), loss)
+    });
+    assert!(loss.is_finite(), "sanity: the steps trained");
+    assert_eq!(
+        allocs, 0,
+        "a warm train step must not allocate (saw {allocs} allocations over 50 steps)"
+    );
 }
