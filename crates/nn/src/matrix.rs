@@ -224,6 +224,13 @@ impl<S: Scalar> Matrix<S> {
         self.data.resize(rows * cols, S::ZERO);
     }
 
+    /// Ensures room for `len` elements without reallocating — for scratch
+    /// whose shape varies up to a known bound, so that no later `resize`
+    /// within it allocates. Reserved but unused capacity is never touched.
+    pub(crate) fn reserve(&mut self, len: usize) {
+        self.data.reserve(len.saturating_sub(self.data.len()));
+    }
+
     /// Makes `self` a same-shaped copy of `src` (no allocation once
     /// capacity suffices).
     pub fn copy_from(&mut self, src: &Matrix<S>) {
@@ -414,6 +421,48 @@ impl<S: Scalar> Matrix<S> {
         );
     }
 
+    /// `out[q][cols[j]] += (selfᵀ · other)[q][j]` — the weight-gradient
+    /// product `dW += dzᵀ x` of a layer whose input was compacted to its
+    /// support: `other` holds only the (ascending) input columns `cols` of
+    /// a `width`-wide batch, and `out` is the full `p × width` gradient.
+    /// Columns outside `cols` are not touched; the dense product would add
+    /// `+0` to them.
+    ///
+    /// Every written element is bit for bit what
+    /// [`Matrix::matmul_transpose_a_acc`] over the full-width batch writes:
+    /// the same register tiles over the same output rows, each element's
+    /// chain over ascending batch rows unchanged, and the dropped columns
+    /// hold only exact-zero products. A tile over consecutive columns
+    /// lands in `out` directly, as the dense kernel's do, so a support that
+    /// covers every column runs the dense kernel's stores.
+    ///
+    /// # Panics
+    /// Panics when row counts differ, `cols` is not `other.cols()` long, or
+    /// `out` is not `self.cols() × width`.
+    pub(crate) fn matmul_transpose_a_acc_cols(
+        &self,
+        other: &Matrix<S>,
+        cols: &[usize],
+        out: &mut Matrix<S>,
+    ) {
+        assert_eq!(self.rows, other.rows, "matmul_t_a dims");
+        assert_eq!(cols.len(), other.cols, "support width");
+        assert_eq!(out.rows, self.cols, "accumulator rows");
+        assert!(cols.last().is_none_or(|&c| c < out.cols), "support column");
+        let (m, p, width) = (self.rows, self.cols, out.cols);
+        let (a, b) = (&self.data, &other.data);
+        let job =
+            |q0, q1, band: &mut [S]| gemm_at_cols_range(a, m, p, b, cols, width, q0, q1, band);
+        let flops = m.saturating_mul(p).saturating_mul(cols.len());
+        workpool::with_current(|pool| {
+            if worth_sharding(pool.threads(), p, flops) {
+                at_bands(pool, p, width, &mut out.data, job);
+            } else {
+                job(0, p, &mut out.data);
+            }
+        });
+    }
+
     /// Adds `row` to every row of `self` (broadcast add, used for biases).
     ///
     /// # Panics
@@ -502,34 +551,42 @@ impl<S: Scalar> Matrix<S> {
 /// Packs `m`'s transpose into `pack` (resized to cols×rows, row-major).
 fn pack_transpose<S: Scalar>(m: &Matrix<S>, pack: &mut Vec<S>) {
     pack.resize(m.data.len(), S::ZERO);
-    transpose_into(&m.data, m.rows, m.cols, pack);
+    transpose_cols_into(&m.data, m.rows, m.cols, (0..m.cols).map(|c| (c, c)), pack);
 }
 
-/// Writes the transpose of a rows×cols row-major buffer into `out`
-/// (cols×rows row-major), one `TRANSPOSE_ROWS × TRANSPOSE_COLS` source
-/// tile at a time: each output row receives `TRANSPOSE_ROWS` contiguous
-/// elements (a cache line of f32) and a tile's source lines are used up
-/// before they can be evicted. Walking whole source rows instead strides
-/// every write by `rows` and sweeps the entire output once per source row,
-/// which stops being cheap once the output outgrows the cache: 148 ms
-/// against 17 ms for the fleet critic's 64 × 294 913 first layer, 266
-/// against 67 µs at 64 × 2001, no difference at 64 × 161.
+/// Writes columns of a `rows × width` row-major buffer as rows of `out`
+/// (row-major, `rows` wide): for each `(j, c)` of `cols`, output row `j`
+/// is source column `c`. `(0..width).map(|c| (c, c))` is the whole
+/// transpose; a layer's support pack names the input columns its batch
+/// touches.
+///
+/// The source is walked in bands of `BAND` rows: each output row receives
+/// `BAND` contiguous elements (a cache line of f32) and a band's source
+/// lines are used up before they can be evicted. Walking whole source rows
+/// instead strides every write by `rows` and sweeps the entire output once
+/// per source row, which stops being cheap once the output outgrows the
+/// cache: 148 ms against 17 ms for the fleet critic's 64 × 294 913 first
+/// layer, 266 against 67 µs at 64 × 2001, no difference at 64 × 161.
 ///
 /// # Panics
-/// Panics when either buffer is not `rows · cols` long.
-pub(crate) fn transpose_into<S: Scalar>(src: &[S], rows: usize, cols: usize, out: &mut [S]) {
-    const TRANSPOSE_ROWS: usize = 16;
-    const TRANSPOSE_COLS: usize = 32;
-    assert_eq!(src.len(), rows * cols, "transpose source size");
-    assert_eq!(out.len(), rows * cols, "transpose output size");
-    for r0 in (0..rows).step_by(TRANSPOSE_ROWS) {
-        let r1 = (r0 + TRANSPOSE_ROWS).min(rows);
-        for c0 in (0..cols).step_by(TRANSPOSE_COLS) {
-            for c in c0..(c0 + TRANSPOSE_COLS).min(cols) {
-                let dst = &mut out[c * rows + r0..c * rows + r1];
-                for (d, r) in dst.iter_mut().zip(r0..r1) {
-                    *d = src[r * cols + c];
-                }
+/// Panics when `src` is not `rows · width` long, or a column or an output
+/// row is out of range.
+pub(crate) fn transpose_cols_into<S: Scalar>(
+    src: &[S],
+    rows: usize,
+    width: usize,
+    cols: impl Iterator<Item = (usize, usize)> + Clone,
+    out: &mut [S],
+) {
+    const BAND: usize = 16;
+    assert_eq!(src.len(), rows * width, "transpose source size");
+    for r0 in (0..rows).step_by(BAND) {
+        let r1 = (r0 + BAND).min(rows);
+        for (j, c) in cols.clone() {
+            assert!(c < width, "transpose column out of range");
+            let dst = &mut out[j * rows + r0..j * rows + r1];
+            for (d, r) in dst.iter_mut().zip(r0..r1) {
+                *d = src[r * width + c];
             }
         }
     }
@@ -709,22 +766,38 @@ fn gemm_at_parallel<S: Scalar>(
     out: &mut [S],
     accumulate: bool,
 ) {
+    at_bands(pool, p, n, out, |q0, q1, band| {
+        gemm_stream_at_range(a, m, p, b, n, q0, q1, band, accumulate)
+    });
+}
+
+/// Splits the `p` output rows (`width` each) of `out` into bands of whole
+/// `MR`-row tiles (only the last band carries tail rows) and runs
+/// `job(q0, q1, band)` for each as one scoped task.
+fn at_bands<S: Scalar>(
+    pool: &workpool::Pool,
+    p: usize,
+    width: usize,
+    out: &mut [S],
+    job: impl Fn(usize, usize, &mut [S]) + Sync,
+) {
     let bands = pool.threads().min(p.div_ceil(MR)).max(1);
     let rows_per = p.div_ceil(bands).div_ceil(MR) * MR;
     let pin = BAND_PINNING.with(Cell::get);
+    let job = &job;
     pool.scope(|s| {
         let mut out_rest = &mut *out;
         let mut q = 0;
         let mut band = 0;
         while q < p {
             let take = rows_per.min(p - q);
-            let (o_band, o_tail) = out_rest.split_at_mut(take * n);
+            let (o_band, o_tail) = out_rest.split_at_mut(take * width);
             out_rest = o_tail;
-            let job = move || gemm_stream_at_range(a, m, p, b, n, q, q + take, o_band, accumulate);
+            let task = move || job(q, q + take, o_band);
             if pin {
-                s.spawn_at(band, job);
+                s.spawn_at(band, task);
             } else {
-                s.spawn(job);
+                s.spawn(task);
             }
             band += 1;
             q += take;
@@ -877,7 +950,18 @@ fn gemm_stream_at_range<S: Scalar>(
     while q + MR <= q1 {
         let mut jt = 0;
         while jt + tj <= n {
-            S::gemm_tile_at(kernel, a, m, p, q, b, n, jt, &mut out_band[row(q)..]);
+            S::gemm_tile_at(
+                kernel,
+                a,
+                m,
+                p,
+                q,
+                b,
+                n,
+                jt,
+                &mut out_band[row(q) + jt..],
+                n,
+            );
             jt += tj;
         }
         while jt < n {
@@ -907,6 +991,127 @@ fn gemm_stream_at_range<S: Scalar>(
         }
         q += 1;
     }
+}
+
+/// Output rows `q0..q1` of [`Matrix::matmul_transpose_a_acc_cols`] into
+/// `out_band` (`(q1−q0) × width`): [`gemm_stream_at_range`]'s tiles, column
+/// tail and row tail over the compacted `b` (`m × cols.len()`). A tile whose
+/// columns form one run lands in the output rows directly, as in the dense
+/// kernel; any other runs over its output values gathered into a stack
+/// tile, which are then stored back.
+#[allow(clippy::too_many_arguments)]
+fn gemm_at_cols_range<S: Scalar>(
+    a: &[S],
+    m: usize,
+    p: usize,
+    b: &[S],
+    cols: &[usize],
+    width: usize,
+    q0: usize,
+    q1: usize,
+    out_band: &mut [S],
+) {
+    let n = cols.len();
+    debug_assert_eq!(a.len(), m * p);
+    debug_assert_eq!(b.len(), m * n);
+    debug_assert_eq!(out_band.len(), (q1 - q0) * width);
+    if m == 0 || n == 0 || q0 == q1 {
+        return;
+    }
+    // A broken tile's `MR × TJ` values, on the stack: `TJ` is 16 at most.
+    const TILE: usize = MR * 16;
+    let kernel = active_microkernel();
+    let tj = S::TJ;
+    let row = |q: usize| (q - q0) * width;
+    let mut tile = [S::ZERO; TILE];
+    let tile = &mut tile[..MR * tj];
+    let mut q = q0;
+    while q + MR <= q1 {
+        let mut jt = 0;
+        while jt + tj <= n {
+            let tile_cols = &cols[jt..jt + tj];
+            let c0 = tile_cols[0];
+            if tile_cols[tj - 1] - c0 == tj - 1 {
+                let out = &mut out_band[row(q) + c0..];
+                S::gemm_tile_at(kernel, a, m, p, q, b, n, jt, out, width);
+            } else {
+                // Gathered, advanced exactly as the dense kernel advances
+                // them in place, and stored back.
+                for (r, t) in tile.chunks_exact_mut(tj).take(MR).enumerate() {
+                    let o = &out_band[row(q + r)..];
+                    for (d, &c) in t.iter_mut().zip(tile_cols) {
+                        *d = o[c];
+                    }
+                }
+                S::gemm_tile_at(kernel, a, m, p, q, b, n, jt, tile, tj);
+                for (r, t) in tile.chunks_exact(tj).take(MR).enumerate() {
+                    let o = &mut out_band[row(q + r)..];
+                    for (&v, &c) in t.iter().zip(tile_cols) {
+                        o[c] = v;
+                    }
+                }
+            }
+            jt += tj;
+        }
+        while jt < n {
+            let mut acc = [S::ZERO; MR];
+            for l in 0..m {
+                let bv = b[l * n + jt];
+                let ar = &a[l * p + q..l * p + q + MR];
+                for (av, &aval) in acc.iter_mut().zip(ar) {
+                    *av = aval.mul_add(bv, *av);
+                }
+            }
+            for (r, &av) in acc.iter().enumerate() {
+                out_band[row(q + r) + cols[jt]] += av;
+            }
+            jt += 1;
+        }
+        q += MR;
+    }
+    // Tail rows continue from the stored value, as the dense kernel's do.
+    while q < q1 {
+        let o = &mut out_band[row(q)..row(q) + width];
+        for (j, &c) in cols.iter().enumerate() {
+            let mut v = o[c];
+            for l in 0..m {
+                v = a[l * p + q].mul_add(b[l * n + j], v);
+            }
+            o[c] = v;
+        }
+        q += 1;
+    }
+}
+
+/// Calls `f(x, cols[x], run)` for each maximal run of consecutive columns
+/// in the ascending `cols`, in order.
+pub(crate) fn for_each_run(cols: &[usize], mut f: impl FnMut(usize, usize, usize)) {
+    let mut x = 0;
+    while x < cols.len() {
+        let c = cols[x];
+        // Strictly ascending: the rest is one run iff it spans exactly its
+        // length.
+        let mut run = cols.len() - x;
+        if cols[cols.len() - 1] - c != run - 1 {
+            run = 1;
+            while cols.get(x + run) == Some(&(c + run)) {
+                run += 1;
+            }
+        }
+        f(x, c, run);
+        x += run;
+    }
+}
+
+/// `out = a · b` for a row-major `m × b.rows()` slice `a` — a block of
+/// rows of a packed `Wᵀ` — through the blocked kernel.
+///
+/// # Panics
+/// Panics when `a` is not `m · b.rows()` long.
+pub(crate) fn matmul_rows_into<S: Scalar>(a: &[S], m: usize, b: &Matrix<S>, out: &mut Matrix<S>) {
+    assert_eq!(a.len(), m * b.rows, "matmul dims");
+    out.resize(m, b.cols);
+    gemm_dispatch(a, m, b.rows, &b.data, b.cols, &mut out.data, false, None);
 }
 
 impl<S: Scalar> Default for Matrix<S> {
@@ -1173,7 +1378,7 @@ mod tests {
 #[cfg(test)]
 mod property_tests {
     use super::reference;
-    use super::{transpose_into, Matrix, Scalar};
+    use super::{transpose_cols_into, Matrix, Scalar};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -1267,10 +1472,19 @@ mod property_tests {
         fn blocked_transpose_matches_its_definition(((rows, cols), seed) in (transpose_shape(), 0u64..1 << 32)) {
             let src = random_matrix::<f32>(rows, cols, seed);
             let mut out = vec![f32::NAN; rows * cols];
-            transpose_into(src.data(), rows, cols, &mut out);
+            transpose_cols_into(src.data(), rows, cols, (0..cols).map(|c| (c, c)), &mut out);
             for r in 0..rows {
                 for c in 0..cols {
                     prop_assert_eq!(out[c * rows + r].to_bits(), src[(r, c)].to_bits());
+                }
+            }
+            // A column subset: output row `j` is source column `subset[j]`.
+            let subset: Vec<usize> = (0..cols).filter(|c| !(c * 7 + seed as usize).is_multiple_of(3)).collect();
+            let mut out = vec![f32::NAN; rows * subset.len()];
+            transpose_cols_into(src.data(), rows, cols, subset.iter().copied().enumerate(), &mut out);
+            for r in 0..rows {
+                for (j, &c) in subset.iter().enumerate() {
+                    prop_assert_eq!(out[j * rows + r].to_bits(), src[(r, c)].to_bits());
                 }
             }
         }

@@ -1,12 +1,24 @@
 //! Multi-layer perceptron with manual backprop.
 //!
-//! Training-path calls (`forward`, `backward`, `backward_params`,
-//! `input_gradient`, and the sparse-input pair `accumulate_first_layer` +
-//! `forward_after_first`) work in per-layer scratch owned by the network
-//! or in caller-owned rows, so one full training step allocates nothing
-//! once shapes are warm — the property the DRL training loop's throughput
-//! rests on. Allocation is confined to the convenience inference API
-//! (`infer`, `infer_one`).
+//! Training-path calls (`forward`, `forward_rows`, `backward`,
+//! `backward_params`, `input_gradient`, and the sparse-input
+//! trio `pack_first_layer` + `accumulate_first_layer` +
+//! `forward_after_first`) work in per-layer scratch owned by the network or
+//! in caller-owned rows, so one full training step allocates nothing once
+//! shapes are warm — the property the DRL training loop's throughput rests
+//! on. Allocation is confined to the convenience inference API (`infer`,
+//! `infer_one`).
+//!
+//! A caller that knows which input columns its batch touches names them:
+//! `forward_rows` (each row from its own nonzeros) and `input_gradient`
+//! (one GEMM over those columns) run the first layer over them, a
+//! following backward's weight gradient covers them alone,
+//! `input_gradient` computes `∂/∂x` for the columns it is asked for,
+//! and the first layer's `Wᵀ` is packed for those columns only — bit for
+//! bit the dense computation, at a cost that follows the batch's support
+//! instead of the input width.
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 
@@ -117,6 +129,37 @@ impl<S: Scalar> Mlp<S> {
         self.layers.last().expect("non-empty network").output()
     }
 
+    /// [`Mlp::forward`] over a batch whose nonzero inputs all lie in the
+    /// ascending columns `support` (a superset is fine): the first layer
+    /// runs [`Dense::forward_support`], so its product, its kept input and
+    /// a later backward's weight gradient cover those columns alone. Bit
+    /// for bit `forward` over the same batch.
+    fn forward_support(&mut self, x: &Matrix<S>, support: &[usize]) -> &Matrix<S> {
+        self.layers[0].forward_support(x, support);
+        self.forward_rest()
+    }
+
+    /// [`Mlp::forward`] over a batch whose nonzero inputs all lie in the
+    /// ascending columns `support` (a superset is fine), with the first
+    /// layer's output rows accumulated from each input row's own nonzeros
+    /// ([`Dense::forward_rows`]) — the form for batches of sparse rows. A
+    /// later backward's first-layer weight gradient covers those columns
+    /// alone. Bit for bit `forward` over the same batch.
+    pub fn forward_rows(&mut self, x: &Matrix<S>, support: &[usize]) -> &Matrix<S> {
+        self.layers[0].forward_rows(x, support);
+        self.forward_rest()
+    }
+
+    /// Layers 2… over the first layer's last output.
+    fn forward_rest(&mut self) -> &Matrix<S> {
+        let (first, rest) = self.layers.split_at_mut(1);
+        let mut input = first[0].output();
+        for layer in rest {
+            input = layer.forward(input);
+        }
+        input
+    }
+
     /// Runs layers `start..` over `x`, each reading its predecessor's
     /// scratch output.
     fn forward_from(&mut self, start: usize, x: &Matrix<S>) {
@@ -127,11 +170,19 @@ impl<S: Scalar> Mlp<S> {
         }
     }
 
+    /// [`Dense::pack_support`] on the first layer: packs the `Wᵀ` rows of
+    /// the ascending input columns that the following
+    /// [`Mlp::accumulate_first_layer`] calls will name.
+    pub fn pack_first_layer(&mut self, cols: &[usize]) {
+        self.layers[0].pack_support(cols);
+    }
+
     /// [`Dense::accumulate_packed_rows`] on the first layer: continues one
     /// first-layer pre-activation row from the `(column, value)` support
     /// of an input row, so a one-hot or otherwise sparse input is never
-    /// materialised. Finish the row with the first layer's
-    /// [`Dense::finish_row`] and hand the batch of finished rows to
+    /// materialised. Every column must be in the first layer's pack (see
+    /// [`Mlp::pack_first_layer`]). Finish the row with the first
+    /// layer's [`Dense::finish_row`] and hand the batch of finished rows to
     /// [`Mlp::forward_after_first`].
     pub fn accumulate_first_layer(&mut self, pairs: &[(usize, S)], acc: &mut [S]) {
         self.layers[0].accumulate_packed_rows(pairs, acc);
@@ -204,22 +255,34 @@ impl<S: Scalar> Mlp<S> {
         self.backward_sweep(grad_output, true, false);
     }
 
-    /// Gradient of the summed output w.r.t. the input — the quantity the
-    /// DDPG actor update needs when this network is the critic and part
-    /// of the input is the action. An input-only backward: parameter
-    /// gradients are neither read nor written.
+    /// Gradient of the summed output w.r.t. the input columns `cols` — the
+    /// quantity the DDPG actor update needs when this network is the
+    /// critic and `cols` is its action block. Runs a forward whose first
+    /// layer is [`Dense::forward_support`] over `x` and `support` (which
+    /// must contain `cols`), then an input-only backward: parameter
+    /// gradients are neither read nor written, and the first layer's
+    /// `∂/∂x` is computed for `cols` alone (`batch × cols.len()`), bit for
+    /// bit those columns of the full input gradient.
     ///
     /// For a scalar-output critic this is `∇_x Q(x)` per batch row.
-    pub fn input_gradient(&mut self, x: &Matrix<S>) -> &Matrix<S> {
-        self.forward(x);
+    ///
+    /// # Panics
+    /// Panics when `cols` is not inside `support`.
+    pub fn input_gradient(
+        &mut self,
+        x: &Matrix<S>,
+        support: &[usize],
+        cols: Range<usize>,
+    ) -> &Matrix<S> {
+        self.forward_support(x, support);
         // Temporarily move the ones-matrix out so the sweep can borrow it;
         // an empty `Matrix` placeholder does not allocate.
         let mut ones = std::mem::replace(&mut self.ones, Matrix::zeros(0, 0));
         ones.resize(x.rows(), self.output_size());
         ones.data_mut().fill(S::ONE);
-        self.backward_sweep(&ones, false, true);
+        self.backward_sweep(&ones, false, false);
         self.ones = ones;
-        self.layers[0].input_grad()
+        self.layers[0].input_grad_cols(cols)
     }
 
     /// Last layer to first; every layer above the first always produces
@@ -292,10 +355,17 @@ impl<S: Scalar> Mlp<S> {
         }
     }
 
-    /// Copies parameters from `source` (hard update; used to initialize
-    /// target networks as exact clones).
+    /// Copies parameters from `source` bit for bit (hard update: a policy
+    /// install, a DQN target sync). Overwrites NaN or infinite weights
+    /// too, which a `τ = 1` soft update cannot (`0·∞ = NaN`).
+    ///
+    /// # Panics
+    /// Panics when architectures differ.
     pub fn copy_params_from(&mut self, source: &Mlp<S>) {
-        self.soft_update_from(source, 1.0);
+        assert_eq!(self.layers.len(), source.layers.len(), "depth mismatch");
+        for (t, s) in self.layers.iter_mut().zip(&source.layers) {
+            t.copy_params_from(s);
+        }
     }
 
     /// Total number of scalar parameters.
@@ -379,36 +449,54 @@ mod tests {
         case::<f32>(&[4, 6, 2], &acts2);
     }
 
-    /// `accumulate_first_layer` + `forward_after_first` over the supports
-    /// of a sparse batch equal `forward` over the dense batch bit for bit,
-    /// and keep doing so across every kind of weight update (the first
-    /// layer's `Wᵀ` cache must be refreshed, not reused).
+    /// Every first-layer path over the supports of a sparse batch —
+    /// `forward_support`, `forward_rows`, and `pack_first_layer` +
+    /// `accumulate_first_layer` + `forward_after_first` — equals `infer`
+    /// over the dense batch bit for bit, over the batch's support and over
+    /// a different one with the same weights, and keeps doing so across
+    /// every kind of weight update (the first layer's pack must be rebuilt,
+    /// not reused).
     #[test]
     fn sparse_first_layer_forward_matches_forward_across_updates() {
         fn case<S: crate::scalar::Scalar>() {
             let acts = [Activation::Tanh, Activation::Tanh, Activation::Identity];
             let mut net: Mlp<S> = Mlp::new(&[23, 70, 6, 3], &acts, 5);
             let other: Mlp<S> = Mlp::new(&[23, 70, 6, 3], &acts, 6);
-            let x: Matrix<S> = Matrix::from_fn(5, 23, |r, c| match (r + c) % 4 {
-                0 => S::from_f64(0.1 * c as f64 - 0.9),
-                1 => S::ONE,
-                _ => S::ZERO,
-            });
+            let batch = |shift: usize| -> Matrix<S> {
+                Matrix::from_fn(5, 23, |r, c| match (r + c + shift) % 4 {
+                    0 => S::from_f64(0.1 * c as f64 - 0.9),
+                    1 => S::ONE,
+                    _ => S::ZERO,
+                })
+            };
+            let (x, y) = (batch(0), batch(3));
+            let support = |x: &Matrix<S>| -> Vec<usize> {
+                (0..23)
+                    .filter(|&c| (0..x.rows()).any(|r| x[(r, c)] != S::ZERO))
+                    .collect()
+            };
             let mut first_out = Matrix::default();
             let mut check = |net: &mut Mlp<S>, what: &str| {
-                let want = net.forward(&x).clone();
-                first_out.resize(x.rows(), 70);
-                for r in 0..x.rows() {
-                    let pairs: Vec<(usize, S)> = (0..23)
-                        .filter(|&c| x[(r, c)] != S::ZERO)
-                        .map(|c| (c, x[(r, c)]))
-                        .collect();
-                    let row = first_out.row_mut(r);
-                    row.fill(S::ZERO);
-                    net.accumulate_first_layer(&pairs, row);
-                    net.layers()[0].finish_row(row);
+                for x in [&x, &y, &x] {
+                    let want = net.infer(x);
+                    let cols = support(x);
+                    assert_eq!(net.forward_support(x, &cols), &want, "support, {what}");
+                    assert_eq!(net.forward_rows(x, &cols), &want, "rows, {what}");
+                    net.pack_first_layer(&cols);
+                    first_out.resize(x.rows(), 70);
+                    for r in 0..x.rows() {
+                        let pairs: Vec<(usize, S)> = (0..23)
+                            .filter(|&c| x[(r, c)] != S::ZERO)
+                            .map(|c| (c, x[(r, c)]))
+                            .collect();
+                        let row = first_out.row_mut(r);
+                        row.fill(S::ZERO);
+                        net.accumulate_first_layer(&pairs, row);
+                        net.layers()[0].finish_row(row);
+                    }
+                    let got = net.forward_after_first(&first_out);
+                    assert_eq!(got, &want, "packed rows, {what}");
                 }
-                assert_eq!(net.forward_after_first(&first_out), &want, "after {what}");
             };
             check(&mut net, "construction");
             net.layers_mut()[0].params_mut()[0][3] = S::from_f64(7.0);
@@ -439,7 +527,9 @@ mod tests {
     fn input_gradient_matches_finite_difference() {
         let mut net = Mlp::new(&[3, 6, 1], &[Activation::Tanh, Activation::Identity], 4);
         let x = vec![0.2, -0.4, 0.7];
-        let gx = net.input_gradient(&Matrix::row_vector(&x)).clone();
+        let gx = net
+            .input_gradient(&Matrix::row_vector(&x), &[0, 1, 2], 0..3)
+            .clone();
         let h = 1e-6;
         for i in 0..3 {
             let mut xp = x.clone();
@@ -463,7 +553,7 @@ mod tests {
         net.forward(&x);
         net.backward(&Matrix::row_vector(&[1.0]));
         let before: Vec<f64> = net.layers[0].params_and_grads()[0].1.to_vec();
-        let _ = net.input_gradient(&x);
+        let _ = net.input_gradient(&x, &[0, 1], 0..2);
         let after: Vec<f64> = net.layers[0].params_and_grads()[0].1.to_vec();
         assert_eq!(before, after);
     }
@@ -500,7 +590,8 @@ mod tests {
             ones.data_mut().fill(S::ONE);
             full.forward(&x);
             let dx = full.backward(&ones).clone();
-            assert_eq!(part.input_gradient(&x), &dx, "input_gradient");
+            let all: Vec<usize> = (0..37).collect();
+            assert_eq!(part.input_gradient(&x, &all, 0..37), &dx, "input_gradient");
             assert_eq!(flat_grads(&mut part), want, "input_gradient wrote grads");
         }
         case::<f32>();

@@ -16,20 +16,29 @@
 //! candidate, not the `N·M` input width. The deployed scheduler, the
 //! rollout workers and the async learner's final pick all go through it.
 //!
-//! [`DdpgAgent::train_step`] pays for support, not width, wherever a
-//! forward is not differentiated. The TD targets score up to `H·K`
-//! candidate actions with the target networks, and neither the `H`
-//! next-states nor the candidates' `[next_state ‖ onehot]` rows are ever
-//! multiplied dense: each next-state's support is scanned once, the target
-//! actor's and target critic's first layers continue a pre-activation row
-//! over it from contiguous rows of their cached `Wᵀ`
-//! (`Mlp::accumulate_first_layer`), the critic's row is seeded into each of
-//! that next-state's candidates, and a candidate adds only its `N` hot
-//! action rows. Layers 2… run as batched GEMMs (`Mlp::forward_after_first`).
-//! The differentiated passes — the critic over `[state ‖ action]`, the
-//! actor over `states`, the critic's input gradient at `[state ‖ proto]` —
-//! stay dense `H`-row GEMMs: their first-layer weight gradient is a dense
-//! `out × in` product either way, and a proto-action row is not sparse.
+//! [`DdpgAgent::train_step`] pays for support, not width, in every
+//! first-layer product; each first layer multiplies only the `Wᵀ` rows of
+//! the input columns its minibatch touches (its *support pack*). The
+//! minibatch assembly marks the columns of `[state ‖ action]` that some
+//! row touches, and that support drives both differentiated passes:
+//! - the critic's forward over `[state ‖ action]` and the actor's over
+//!   `states` accumulate each row from its own nonzeros
+//!   (`Mlp::forward_rows`);
+//! - their weight gradients cover the support's columns alone.
+//!
+//! The critic's input gradient at `[state ‖ proto]` is one GEMM over the
+//! state support and the whole action block (a proto-action row is not
+//! sparse), and `∂Q/∂x` is computed for the action block alone, the part
+//! the actor update reads. The TD targets score up to `H·K` candidate
+//! actions with the target networks, and neither the `H` next-states nor
+//! the candidates' `[next_state ‖ onehot]` rows are ever multiplied dense:
+//! each next-state's support is scanned once, the target actor's and target
+//! critic's first layers continue a pre-activation row over it from their
+//! packs (`Mlp::accumulate_first_layer`), the critic's row is seeded into
+//! each of that next-state's candidates, and a candidate adds only its `N`
+//! hot action rows. Layers 2… run as batched GEMMs. Every one of these
+//! passes is bit for bit its dense counterpart (exact-zero terms leave the
+//! FMA chains untouched), and Adam and the soft target updates stay dense.
 //! Minibatches assemble into persistent matrices from ring-buffer slot
 //! indices (no transition clones); the only per-sample work left is the
 //! K-NN mapper query, whose candidate sets are genuinely data-dependent.
@@ -101,9 +110,23 @@ struct TrainScratch<S: Scalar> {
     rewards: Vec<S>,
     /// Per-row K-NN candidate sets, buffers reused across steps.
     cands: Vec<Vec<CandidateAction<S>>>,
-    /// Ascending `(column, value)` support of the row being accumulated:
-    /// a next-state's nonzero coordinates, then each candidate's `N` hot
-    /// action columns (`state_dim + i·m + cᵢ`, value 1).
+    /// Per critic-input column (`[state ‖ action]`), whether the batch
+    /// being assembled touches it; cleared as each support is collected.
+    mark: Vec<bool>,
+    /// Ascending columns of `critic_in` with a nonzero in some row: the
+    /// states' support, then the actions' (offset by `state_dim`). Its
+    /// state prefix is the actor's support; for the actor update the
+    /// action part is replaced by the whole action block.
+    support: Vec<usize>,
+    /// Ascending union support of the next-states, then (for the target
+    /// critic) the candidates' hot action columns appended.
+    target_support: Vec<usize>,
+    /// Every next-state's `(column, value)` nonzeros back to back; row `r`
+    /// ends at `next_ends[r]`.
+    next_pairs: Vec<(usize, S)>,
+    next_ends: Vec<usize>,
+    /// One candidate's `N` hot action columns (`state_dim + i·m + cᵢ`,
+    /// value 1).
     pairs: Vec<(usize, S)>,
     /// Target-critic layer-1 pre-activation over each next-state alone
     /// (H × hidden₁) — computed once per sampled row and seeded into every
@@ -115,14 +138,75 @@ struct TrainScratch<S: Scalar> {
     first_out: Matrix<S>,
     /// TD targets y_i.
     targets: Vec<S>,
-    /// Critic training input `[state ‖ action]` (H × (state+action)).
+    /// Critic training input `[state ‖ action]` (H × (state+action)); the
+    /// actor update overwrites its action half with the protos.
     critic_in: Matrix<S>,
-    /// Critic input at the *current* actor's protos (actor update).
-    critic_in2: Matrix<S>,
     /// Deterministic-policy-gradient signal for the actor (H × action).
     actor_grad: Matrix<S>,
     /// Critic MSE gradient column (H × 1).
     critic_grad: Matrix<S>,
+}
+
+impl<S: Scalar> TrainScratch<S> {
+    /// Sizes the minibatch matrices for `h` rows.
+    fn begin_batch(&mut self, h: usize, state_dim: usize, action_dim: usize) {
+        let in_dim = state_dim + action_dim;
+        self.states.resize(h, state_dim);
+        self.next_states.resize(h, state_dim);
+        self.critic_in.resize(h, in_dim);
+        self.rewards.clear();
+        if self.mark.len() != in_dim {
+            self.mark.clear();
+            self.mark.resize(in_dim, false);
+            self.support.reserve(in_dim);
+            self.target_support.reserve(in_dim);
+        }
+    }
+
+    /// Copies one sampled transition into row `r`, marking the critic
+    /// input columns it touches.
+    fn put_row(&mut self, r: usize, state: &[S], action: &[S], reward: S, next_state: &[S]) {
+        let state_dim = state.len();
+        self.states.row_mut(r).copy_from_slice(state);
+        self.next_states.row_mut(r).copy_from_slice(next_state);
+        let row = self.critic_in.row_mut(r);
+        let (mark_s, mark_a) = self.mark.split_at_mut(state_dim);
+        copy_marking(state, &mut row[..state_dim], mark_s);
+        copy_marking(action, &mut row[state_dim..], mark_a);
+        self.rewards.push(reward);
+    }
+
+    /// Collects the marked columns into `support`.
+    fn end_batch(&mut self) {
+        self.support.clear();
+        collect_marked(&mut self.mark, 0, &mut self.support);
+    }
+}
+
+/// Copies `src` into `dst`, marking the positions where it is nonzero.
+fn copy_marking<S: Scalar>(src: &[S], dst: &mut [S], mark: &mut [bool]) {
+    assert_eq!(src.len(), dst.len(), "row width");
+    for ((d, m), &v) in dst.iter_mut().zip(mark).zip(src) {
+        *d = v;
+        *m |= v != S::ZERO;
+    }
+}
+
+/// The ranges `0..ends[0]`, `ends[0]..ends[1]`, … of rows stored back to
+/// back.
+fn row_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    starts.zip(ends.iter().copied()).map(|(a, b)| a..b)
+}
+
+/// Appends the marked positions, offset by `base`, to `out` in ascending
+/// order and clears the marks.
+fn collect_marked(mark: &mut [bool], base: usize, out: &mut Vec<usize>) {
+    for (c, m) in mark.iter_mut().enumerate() {
+        if std::mem::take(m) {
+            out.push(base + c);
+        }
+    }
 }
 
 /// Per-actor scratch for [`DdpgAgent::select_action_among`] — everything
@@ -611,23 +695,12 @@ impl<S: Scalar> DdpgAgent<S> {
         self.replay
             .sample_indices_into(self.config.batch, rng, &mut scratch.idx);
         let h = scratch.idx.len();
-        let in_dim = self.state_dim + self.action_dim;
-        scratch.states.resize(h, self.state_dim);
-        scratch.next_states.resize(h, self.state_dim);
-        scratch.critic_in.resize(h, in_dim);
-        scratch.rewards.clear();
-        for (r, &slot) in scratch.idx.iter().enumerate() {
-            let t = self.replay.get(slot);
-            scratch.states.row_mut(r).copy_from_slice(&t.state);
-            scratch
-                .next_states
-                .row_mut(r)
-                .copy_from_slice(&t.next_state);
-            let row = scratch.critic_in.row_mut(r);
-            row[..self.state_dim].copy_from_slice(&t.state);
-            row[self.state_dim..].copy_from_slice(&t.action);
-            scratch.rewards.push(t.reward);
+        scratch.begin_batch(h, self.state_dim, self.action_dim);
+        for r in 0..h {
+            let t = self.replay.get(scratch.idx[r]);
+            scratch.put_row(r, &t.state, &t.action, t.reward, &t.next_state);
         }
+        scratch.end_batch();
         true
     }
 
@@ -661,21 +734,14 @@ impl<S: Scalar> DdpgAgent<S> {
         if h == 0 {
             return false;
         }
-        let in_dim = self.state_dim + self.action_dim;
-        scratch.states.resize(h, self.state_dim);
-        scratch.next_states.resize(h, self.state_dim);
-        scratch.critic_in.resize(h, in_dim);
-        scratch.rewards.clear();
-        for (r, &slot) in scratch.shard_idx.iter().enumerate() {
+        scratch.begin_batch(h, self.state_dim, self.action_dim);
+        for r in 0..h {
+            let slot = scratch.shard_idx[r];
             replay.with_rows(slot, |state, action, reward, next_state| {
-                scratch.states.row_mut(r).copy_from_slice(state);
-                scratch.next_states.row_mut(r).copy_from_slice(next_state);
-                let row = scratch.critic_in.row_mut(r);
-                row[..self.state_dim].copy_from_slice(state);
-                row[self.state_dim..].copy_from_slice(action);
-                scratch.rewards.push(reward);
+                scratch.put_row(r, state, action, reward, next_state);
             });
         }
+        scratch.end_batch();
         true
     }
 
@@ -693,54 +759,77 @@ impl<S: Scalar> DdpgAgent<S> {
     /// batched dense forwards over `next_states` and over every
     /// `[next_state ‖ onehot]` row (see `Dense::accumulate_packed_rows`),
     /// at a cost that follows the nonzeros: each next-state is scanned
-    /// once, its target-critic pre-activation is shared by its candidates,
-    /// and a candidate contributes its `N` hot action rows of `Wᵀ`. The
-    /// K-NN sets come from one batched mapper query over the proto matrix
-    /// (cost-matrix setup amortized across the batch through mapper state,
-    /// candidate buffers reused).
+    /// once, the `Wᵀ` rows packed are those of the columns the batch
+    /// touches (the next-states' union support, plus the candidates' hot
+    /// action columns for the critic), a next-state's target-critic
+    /// pre-activation is shared by its candidates, and a candidate
+    /// contributes its `N` hot action rows. The K-NN sets come from one
+    /// batched mapper query over the proto matrix (cost-matrix setup
+    /// amortized across the batch through mapper state, candidate buffers
+    /// reused).
     fn td_targets(&mut self, mapper: &mut dyn ActionMapper<S>) {
         let scratch = &mut self.scratch;
         let h = scratch.next_states.rows();
         let (n, m) = mapper.shape();
         assert_eq!(n * m, self.action_dim, "mapper/agent action shape");
+        let sd = self.state_dim;
         let width = self.target_critic.layers()[0].output_size();
 
-        scratch.first_out.resize(h, width);
-        scratch.next_pre.resize(h, width);
+        scratch.next_pairs.clear();
+        scratch.next_ends.clear();
         for r in 0..h {
-            let next_state = scratch.next_states.row(r).iter().enumerate();
-            scratch.pairs.clear();
-            scratch.pairs.extend(
-                next_state
-                    .filter(|&(_, &v)| v != S::ZERO)
-                    .map(|(l, &v)| (l, v)),
-            );
+            for (l, &v) in scratch.next_states.row(r).iter().enumerate() {
+                if v != S::ZERO {
+                    scratch.next_pairs.push((l, v));
+                    scratch.mark[l] = true;
+                }
+            }
+            scratch.next_ends.push(scratch.next_pairs.len());
+        }
+        scratch.target_support.clear();
+        collect_marked(&mut scratch.mark[..sd], 0, &mut scratch.target_support);
+
+        self.target_actor.pack_first_layer(&scratch.target_support);
+        scratch.first_out.resize(h, width);
+        for (r, pairs) in row_ranges(&scratch.next_ends).enumerate() {
             let row = scratch.first_out.row_mut(r);
             row.fill(S::ZERO);
             self.target_actor
-                .accumulate_first_layer(&scratch.pairs, row);
+                .accumulate_first_layer(&scratch.next_pairs[pairs], row);
             self.target_actor.layers()[0].finish_row(row);
-            let pre = scratch.next_pre.row_mut(r);
-            pre.fill(S::ZERO);
-            self.target_critic
-                .accumulate_first_layer(&scratch.pairs, pre);
         }
         let protos_next = self.target_actor.forward_after_first(&scratch.first_out);
         mapper.nearest_batch_into(protos_next, self.config.k, &mut scratch.cands);
+
+        for cand in scratch.cands.iter().flatten() {
+            assert_eq!(cand.choice.len(), n, "candidate executor count");
+            for (i, &c) in cand.choice.iter().enumerate() {
+                assert!(c < m, "candidate machine index");
+                scratch.mark[sd + i * m + c] = true;
+            }
+        }
+        collect_marked(&mut scratch.mark[sd..], sd, &mut scratch.target_support);
+        self.target_critic.pack_first_layer(&scratch.target_support);
+        scratch.next_pre.resize(h, width);
+        for (r, pairs) in row_ranges(&scratch.next_ends).enumerate() {
+            let pre = scratch.next_pre.row_mut(r);
+            pre.fill(S::ZERO);
+            self.target_critic
+                .accumulate_first_layer(&scratch.next_pairs[pairs], pre);
+        }
 
         let total = scratch.cands.iter().map(Vec::len).sum();
         scratch.first_out.resize(total, width);
         let mut filled = 0;
         for (r, candidates) in scratch.cands.iter().enumerate() {
             for cand in candidates {
-                assert_eq!(cand.choice.len(), n, "candidate executor count");
                 scratch.pairs.clear();
-                scratch
-                    .pairs
-                    .extend(cand.choice.iter().enumerate().map(|(i, &c)| {
-                        assert!(c < m, "candidate machine index");
-                        (self.state_dim + i * m + c, S::ONE)
-                    }));
+                scratch.pairs.extend(
+                    cand.choice
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| (sd + i * m + c, S::ONE)),
+                );
                 let row = scratch.first_out.row_mut(filled);
                 row.copy_from_slice(scratch.next_pre.row(r));
                 self.target_critic
@@ -782,16 +871,20 @@ impl<S: Scalar> DdpgAgent<S> {
     }
 
     /// Critic, actor and target-network updates (lines 16–18) against
-    /// `scratch.targets`. Returns the critic loss.
+    /// `scratch.targets`. Returns the critic loss. Both first layers run
+    /// over the minibatch's support (`scratch.support`), and the critic's
+    /// input gradient is computed for the action block alone.
     fn update_from_targets(&mut self) -> f64 {
         let scratch = &mut self.scratch;
         let h = scratch.states.rows();
-        let in_dim = self.state_dim + self.action_dim;
+        let (sd, in_dim) = (self.state_dim, self.state_dim + self.action_dim);
 
         // Critic update (line 16): MSE against the TD targets, with loss
         // and gradient folded in place (matches `mse_loss_grad` over the
         // H×1 prediction column: loss = Σd²/H, grad = 2d/H).
-        let pred = self.critic.forward(&scratch.critic_in);
+        let pred = self
+            .critic
+            .forward_rows(&scratch.critic_in, &scratch.support);
         scratch.critic_grad.resize(h, 1);
         let grad_scale = S::from_f64(2.0 / h as f64);
         let mut loss = 0.0f64;
@@ -807,23 +900,30 @@ impl<S: Scalar> DdpgAgent<S> {
 
         // Actor update (line 17): ascend Q by the chain rule through the
         // critic's action input, with the whole batch of protos from one
-        // actor forward.
-        let protos = self.actor.forward(&scratch.states);
-        scratch.critic_in2.resize(h, in_dim);
+        // actor forward written over `critic_in`'s action half (its state
+        // half is the states already).
+        let state_cols = scratch.support.partition_point(|&c| c < sd);
+        let protos = self
+            .actor
+            .forward_rows(&scratch.states, &scratch.support[..state_cols]);
         for r in 0..h {
-            let row = scratch.critic_in2.row_mut(r);
-            row[..self.state_dim].copy_from_slice(scratch.states.row(r));
-            row[self.state_dim..].copy_from_slice(protos.row(r));
+            scratch.critic_in.row_mut(r)[sd..].copy_from_slice(protos.row(r));
         }
-        let full_grad = self.critic.input_gradient(&scratch.critic_in2);
+        scratch.support.truncate(state_cols);
+        scratch.support.extend(sd..in_dim);
+        let action_grad =
+            self.critic
+                .input_gradient(&scratch.critic_in, &scratch.support, sd..in_dim);
         // −dQ/da, averaged over the batch (descent on −Q = ascent on Q).
         scratch.actor_grad.resize(h, self.action_dim);
         let inv_h = S::from_f64(1.0 / h as f64);
-        for r in 0..h {
-            let src = &full_grad.row(r)[self.state_dim..];
-            for (g, &d) in scratch.actor_grad.row_mut(r).iter_mut().zip(src) {
-                *g = -(d * inv_h);
-            }
+        for (g, &d) in scratch
+            .actor_grad
+            .data_mut()
+            .iter_mut()
+            .zip(action_grad.data())
+        {
+            *g = -(d * inv_h);
         }
         self.actor.zero_grad();
         self.actor.backward_params(&scratch.actor_grad);
@@ -1175,9 +1275,54 @@ mod tests {
             );
         }
 
+        /// [`DdpgAgent::update_from_targets`] with every differentiated
+        /// pass dense: the critic and actor forwards over every input
+        /// column, and the critic's input gradient as the full backward's
+        /// `dx` (`dz · W` over all `state + action` columns), read at the
+        /// action block.
+        fn update_from_targets_dense(&mut self) -> f64 {
+            let scratch = &mut self.scratch;
+            let (h, sd) = (scratch.states.rows(), self.state_dim);
+            let pred = self.critic.forward(&scratch.critic_in);
+            let mut grad = Matrix::zeros(h, 1);
+            let mut loss = 0.0f64;
+            for r in 0..h {
+                let d = pred[(r, 0)] - scratch.targets[r];
+                loss += d.to_f64() * d.to_f64();
+                grad[(r, 0)] = S::from_f64(2.0 / h as f64) * d;
+            }
+            loss /= h as f64;
+            self.critic.zero_grad();
+            self.critic.backward_params(&grad);
+            self.critic.apply_gradients(&mut self.critic_opt);
+
+            let protos = self.actor.forward(&scratch.states);
+            for r in 0..h {
+                scratch.critic_in.row_mut(r)[sd..].copy_from_slice(protos.row(r));
+            }
+            self.critic.forward(&scratch.critic_in);
+            let mut ones = Matrix::zeros(h, 1);
+            ones.data_mut().fill(S::ONE);
+            let full_grad = self.critic.backward(&ones).clone();
+            self.critic.zero_grad();
+            let inv_h = S::from_f64(1.0 / h as f64);
+            let actor_grad =
+                Matrix::from_fn(h, self.action_dim, |r, c| -(full_grad[(r, sd + c)] * inv_h));
+            self.actor.zero_grad();
+            self.actor.backward_params(&actor_grad);
+            self.actor.apply_gradients(&mut self.actor_opt);
+
+            self.target_critic
+                .soft_update_from(&self.critic, self.config.tau);
+            self.target_actor
+                .soft_update_from(&self.actor, self.config.tau);
+            self.train_steps += 1;
+            loss
+        }
+
         /// [`DdpgAgent::train_step`] (or, given a sharded buffer,
-        /// [`DdpgAgent::train_step_from`]) with the dense reference
-        /// targets: same sampling, same updates.
+        /// [`DdpgAgent::train_step_from`]) with the dense reference targets
+        /// and the dense reference updates: same sampling.
         fn dense_reference_step(
             &mut self,
             replay: Option<&ShardedReplayBuffer<S>>,
@@ -1190,7 +1335,7 @@ mod tests {
             };
             sampled.then(|| {
                 self.td_targets_dense(mapper);
-                self.update_from_targets()
+                self.update_from_targets_dense()
             })
         }
     }
@@ -1213,11 +1358,11 @@ mod tests {
     }
 
     /// Twin agents through `steps` consecutive train steps — one on the
-    /// sparse target path, one on [`DdpgAgent::td_targets_dense`] run
-    /// under a 4-thread pool so that products past the sharding cutoff
-    /// take the parallel GEMM — must agree on every TD target, every
-    /// loss and, afterwards, every parameter of all four networks, bit
-    /// for bit.
+    /// support-driven path, one on [`DdpgAgent::td_targets_dense`] and
+    /// [`DdpgAgent::update_from_targets_dense`] run under a 4-thread pool
+    /// so that products past the sharding cutoff take the parallel GEMM —
+    /// must agree on every TD target, every loss and, afterwards, every
+    /// parameter of all four networks, bit for bit.
     fn train_step_matches_dense_reference<S: Scalar>(case: &TrainCase) {
         use crate::mapper::ScalableMapper;
         use rand::RngExt;
@@ -1351,8 +1496,8 @@ mod tests {
         });
     }
 
-    /// `apply_policy` and `restore_state` replace weights the packed-row
-    /// primitive may already have cached: it must see the new ones.
+    /// `apply_policy` and `restore_state` replace weights the support pack
+    /// may already hold: the packed-row primitive must see the new ones.
     #[test]
     fn packed_rows_see_installed_and_restored_weights() {
         let mut agent: DdpgAgent<f32> = DdpgAgent::new(4, 4, toy_config());
@@ -1367,12 +1512,24 @@ mod tests {
         let pairs = [(1usize, 0.5f32), (3, -2.0), (6, 1.0)];
         let first_layer = |critic: &mut Mlp<f32>| {
             let mut packed = vec![0.0; 16];
+            critic.pack_first_layer(&[1, 3, 6]);
             critic.accumulate_first_layer(&pairs, &mut packed);
             // `accumulate_cols` reads `W` directly: the uncached reference.
             let x = [0.0, 0.5, 0.0, -2.0, 0.0, 0.0, 1.0, 0.0];
             let mut direct = vec![0.0; 16];
             critic.layers()[0].accumulate_cols(&[1, 3, 6], &x, &mut direct);
             assert_eq!(packed, direct, "stale Wᵀ");
+            // The differentiated forwards read the same pack.
+            let batch = Matrix::row_vector(&x);
+            let want = critic.infer(&batch);
+            // A clone carries the pack as it stands.
+            let mut first = critic.layers()[0].clone();
+            assert_eq!(critic.forward_rows(&batch, &[1, 3, 6]), &want, "stale rows");
+            assert_eq!(
+                first.forward_support(&batch, &[1, 3, 6]),
+                &critic.layers()[0].infer(&batch),
+                "stale GEMM"
+            );
             packed
         };
         let before = first_layer(&mut agent.critic);
@@ -1384,6 +1541,56 @@ mod tests {
         let mut restored: DdpgAgent<f32> = DdpgAgent::restore_state(&agent.save_state()).unwrap();
         assert_eq!(first_layer(&mut restored.target_critic), before);
         assert_eq!(first_layer(&mut restored.critic), installed);
+    }
+
+    /// Installing a policy is a copy: a replica whose networks hold NaN and
+    /// infinities (a diverged learner) ends up with the donor's exact
+    /// weights — a `−0` among them — and the donor's decisions, which a
+    /// `τ = 1` soft update (`1·s + 0·t`) cannot give it.
+    #[test]
+    fn apply_policy_restores_a_poisoned_replica() {
+        use dss_nn::Dense;
+        let rebuilt = |net: &Mlp<f32>, weight: &dyn Fn(usize, usize, f32) -> f32| {
+            let layers = net.layers().iter().map(|l| {
+                let w = l.weights();
+                let w = Matrix::from_fn(w.rows(), w.cols(), |r, c| weight(r, c, w[(r, c)]));
+                let b = l.bias().iter().map(|&b| weight(0, 0, b)).collect();
+                Dense::from_parts(w, b, l.activation())
+            });
+            Mlp::from_layers(layers.collect())
+        };
+        let mut donor: DdpgAgent<f32> = DdpgAgent::new(4, 4, toy_config());
+        donor.actor = rebuilt(&donor.actor, &|r, c, v| {
+            if (r, c) == (1, 2) {
+                -0.0
+            } else {
+                v
+            }
+        });
+        let mut replica: DdpgAgent<f32> = DdpgAgent::new(4, 4, toy_config());
+        let poison =
+            |r: usize, c: usize, _| [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(r + c) % 3];
+        replica.actor = rebuilt(&replica.actor, &poison);
+        replica.critic = rebuilt(&replica.critic, &poison);
+
+        replica.apply_policy(&donor.save_policy()).unwrap();
+        assert_eq!(param_bits(&replica.actor), param_bits(&donor.actor));
+        assert_eq!(param_bits(&replica.critic), param_bits(&donor.critic));
+        let mut mapper = KBestMapper::new(2, 2);
+        let (mut a, mut b) = (ActScratch::default(), ActScratch::default());
+        for (seed, state) in [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+            .iter()
+            .enumerate()
+        {
+            let rng = || StdRng::seed_from_u64(seed as u64);
+            let none = std::iter::empty;
+            let want =
+                donor.select_action_among(state, &mut mapper, 0.5, &mut rng(), none(), &mut a);
+            let got =
+                replica.select_action_among(state, &mut mapper, 0.5, &mut rng(), none(), &mut b);
+            assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+            assert_eq!(a.cands, b.cands);
+        }
     }
 
     #[test]

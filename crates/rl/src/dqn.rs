@@ -108,13 +108,11 @@ impl<S: Scalar> DqnAgent<S> {
             &[Activation::Tanh, Activation::Tanh, Activation::Identity],
             config.seed,
         );
-        let mut target_q = q.clone();
-        target_q.copy_params_from(&q);
         Self {
             opt: Adam::new(config.lr),
             replay: ReplayBuffer::new(config.replay_capacity),
+            target_q: q.clone(),
             q,
-            target_q,
             config,
             state_dim,
             n_actions,
@@ -378,6 +376,12 @@ mod tests {
         let agent = DqnAgent::new(3, 6, config());
         assert_eq!(agent.q_values(&[0.1, 0.2, 0.3]).len(), 6);
         assert_eq!(agent.n_actions(), 6);
+        // The target starts as an exact copy of the online network.
+        let params = |net: &Mlp<f64>| -> Vec<u64> {
+            let layers = net.layers().iter().flat_map(|l| l.params());
+            layers.flat_map(|p| p.iter().map(|v| v.to_bits())).collect()
+        };
+        assert_eq!(params(&agent.target_q), params(&agent.q));
     }
 
     #[test]
@@ -486,54 +490,66 @@ mod tests {
     fn snapshot_round_trip_continues_training_bit_identically() {
         // Train past the replay wrap AND a target sync, snapshot, then run
         // original and restored in RNG lockstep: every Q-value must stay
-        // bit-equal through further training.
-        let mut agent = DqnAgent::new(
-            3,
-            4,
-            DqnConfig {
-                replay_capacity: 16,
-                batch: 8,
-                target_sync_every: 5,
-                hidden: [8, 6],
-                seed: 21,
-                ..DqnConfig::default()
-            },
-        );
-        let e = Elem::from_f64;
-        let mut rng = StdRng::seed_from_u64(31);
-        for i in 0..40 {
-            let a = i % 4;
-            agent.store(Transition::new(
-                vec![e(0.1 * i as f64), e(-0.2), e(0.3)],
-                a,
-                e(i as f64 * 0.01 - 0.1),
-                vec![e(0.1 * (i + 1) as f64), e(-0.2), e(0.3)],
-            ));
-            agent.train_step(&mut rng);
-        }
-        let image = agent.save_state();
-        let mut restored: DqnAgent = DqnAgent::restore_state(&image).unwrap();
-        assert_eq!(restored.train_steps(), agent.train_steps());
-        assert_eq!(restored.replay_len(), agent.replay_len());
-
-        let mut rng_b = StdRng::from_state(rng.state());
-        for i in 0..25 {
-            let t = Transition::new(
-                vec![e(0.05 * i as f64), e(0.4), e(-0.3)],
-                (i + 1) % 4,
-                e(-0.2),
-                vec![e(0.05 * (i + 1) as f64), e(0.4), e(-0.3)],
+        // bit-equal through further training. One snapshot lands on a
+        // sync step and one between syncs, where the target network
+        // differs from the online one and must come from the image.
+        let sync_every = 5;
+        let mut phases = Vec::new();
+        for warmup in [40, 42] {
+            let mut agent = DqnAgent::new(
+                3,
+                4,
+                DqnConfig {
+                    replay_capacity: 16,
+                    batch: 8,
+                    target_sync_every: sync_every,
+                    hidden: [8, 6],
+                    seed: 21,
+                    ..DqnConfig::default()
+                },
             );
-            agent.store(t.clone());
-            restored.store(t);
-            agent.train_step(&mut rng);
-            restored.train_step(&mut rng_b);
+            let e = Elem::from_f64;
+            let mut rng = StdRng::seed_from_u64(31);
+            for i in 0..warmup {
+                let a = i % 4;
+                agent.store(Transition::new(
+                    vec![e(0.1 * i as f64), e(-0.2), e(0.3)],
+                    a,
+                    e(i as f64 * 0.01 - 0.1),
+                    vec![e(0.1 * (i + 1) as f64), e(-0.2), e(0.3)],
+                ));
+                agent.train_step(&mut rng);
+            }
+            phases.push(agent.train_steps() % sync_every);
+            let image = agent.save_state();
+            let mut restored: DqnAgent = DqnAgent::restore_state(&image).unwrap();
+            assert_eq!(restored.train_steps(), agent.train_steps());
+            assert_eq!(restored.replay_len(), agent.replay_len());
+
+            let mut rng_b = StdRng::from_state(rng.state());
+            for i in 0..25 {
+                let t = Transition::new(
+                    vec![e(0.05 * i as f64), e(0.4), e(-0.3)],
+                    (i + 1) % 4,
+                    e(-0.2),
+                    vec![e(0.05 * (i + 1) as f64), e(0.4), e(-0.3)],
+                );
+                agent.store(t.clone());
+                restored.store(t);
+                agent.train_step(&mut rng);
+                restored.train_step(&mut rng_b);
+            }
+            let qa = agent.q_values(&[e(0.2), e(-0.1), e(0.7)]);
+            let qb = restored.q_values(&[e(0.2), e(-0.1), e(0.7)]);
+            for (a, b) in qa.iter().zip(&qb) {
+                assert_eq!(a.to_f64().to_bits(), b.to_f64().to_bits());
+            }
         }
-        let qa = agent.q_values(&[e(0.2), e(-0.1), e(0.7)]);
-        let qb = restored.q_values(&[e(0.2), e(-0.1), e(0.7)]);
-        for (a, b) in qa.iter().zip(&qb) {
-            assert_eq!(a.to_f64().to_bits(), b.to_f64().to_bits());
-        }
+        assert!(phases.contains(&0), "no snapshot on a sync: {phases:?}");
+        assert!(
+            phases.iter().any(|&p| p != 0),
+            "no snapshot between syncs: {phases:?}"
+        );
     }
 
     #[test]
