@@ -18,11 +18,12 @@ impl<S: Scalar> CostMatrix<S> {
     ///
     /// # Panics
     /// Panics when the buffer size disagrees with `n·m`, when `n` or `m`
-    /// is zero, or when any cost is NaN.
+    /// is zero, or when any cost is not finite (NaN or ±∞: the K-best
+    /// enumeration compares sums of costs, and `+∞ + (−∞)` is NaN).
     pub fn new(n: usize, m: usize, costs: Vec<S>) -> Self {
         assert!(n > 0 && m > 0, "empty cost matrix");
         assert_eq!(costs.len(), n * m, "cost buffer size");
-        assert!(costs.iter().all(|c| !c.is_nan()), "NaN cost");
+        assert!(costs.iter().all(|c| c.is_finite()), "NaN or infinite cost");
         Self { n, m, costs }
     }
 
@@ -45,15 +46,12 @@ impl<S: Scalar> CostMatrix<S> {
     /// many proto-actions of one fixed `n × m` shape back to back.
     ///
     /// # Panics
-    /// Panics when `proto.len() != n * m` or any entry is not finite
-    /// (an infinite `â_ij` would produce `∞ − ∞ = NaN` costs, silently
-    /// breaking the no-NaN invariant [`CostMatrix::new`] enforces).
+    /// Panics when `proto.len() != n * m` or any computed cost is not
+    /// finite — the invariant [`CostMatrix::new`] enforces. Checking the
+    /// costs rather than the entries also catches finite entries whose
+    /// `2·â_ij` or `â_ij²` overflows (`1 − ∞ + ∞ = NaN`).
     pub fn set_proto_action(&mut self, proto: &[S]) {
         assert_eq!(proto.len(), self.n * self.m, "proto-action size");
-        assert!(
-            proto.iter().all(|v| v.is_finite()),
-            "non-finite proto entry"
-        );
         let two = S::from_f64(2.0);
         for (cost_row, row) in self
             .costs
@@ -65,6 +63,10 @@ impl<S: Scalar> CostMatrix<S> {
                 *c = S::ONE - two * v + sq;
             }
         }
+        assert!(
+            self.costs.iter().all(|c| c.is_finite()),
+            "NaN or infinite cost from the proto-action"
+        );
     }
 
     /// Refills every entry from `f(row, col)`, reusing the cost buffer —
@@ -73,12 +75,12 @@ impl<S: Scalar> CostMatrix<S> {
     /// without allocating.
     ///
     /// # Panics
-    /// Panics when `f` produces a NaN cost.
+    /// Panics when `f` produces a cost that is not finite.
     pub fn fill_with(&mut self, mut f: impl FnMut(usize, usize) -> S) {
         for i in 0..self.n {
             for j in 0..self.m {
                 let c = f(i, j);
-                assert!(!c.is_nan(), "NaN cost at ({i}, {j})");
+                assert!(c.is_finite(), "NaN or infinite cost at ({i}, {j})");
                 self.costs[i * self.m + j] = c;
             }
         }
@@ -120,30 +122,23 @@ impl<S: Scalar> CostMatrix<S> {
             .sum()
     }
 
-    /// For each row, column indices sorted by ascending cost (ties by index,
-    /// making enumeration deterministic).
+    /// For each row, column indices sorted by ascending cost (ties by
+    /// index) — the `(cost, index)` order the K-best enumeration ranks
+    /// columns in.
     pub fn sorted_columns(&self) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        self.sorted_columns_into(&mut out);
-        out
-    }
-
-    /// [`CostMatrix::sorted_columns`] into a caller-owned buffer, reusing
-    /// both the outer vector and each row's index vector (the amortized
-    /// companion of [`CostMatrix::set_proto_action`]).
-    pub fn sorted_columns_into(&self, out: &mut Vec<Vec<usize>>) {
-        out.resize_with(self.n, Vec::new);
-        for (i, idx) in out.iter_mut().enumerate() {
-            let row = self.row(i);
-            idx.clear();
-            idx.extend(0..self.m);
-            idx.sort_by(|&a, &b| {
-                row[a]
-                    .partial_cmp(&row[b])
-                    .expect("NaN cost")
-                    .then(a.cmp(&b))
-            });
-        }
+        (0..self.n)
+            .map(|i| {
+                let row = self.row(i);
+                let mut idx: Vec<usize> = (0..self.m).collect();
+                idx.sort_by(|&a, &b| {
+                    row[a]
+                        .partial_cmp(&row[b])
+                        .expect("NaN cost")
+                        .then(a.cmp(&b))
+                });
+                idx
+            })
+            .collect()
     }
 }
 
@@ -193,9 +188,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-finite proto entry")]
+    #[should_panic(expected = "NaN or infinite cost")]
     fn rejects_infinite_proto() {
         let _ = CostMatrix::from_proto_action(&[0.5, f64::INFINITY], 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or infinite cost")]
+    fn rejects_finite_proto_whose_costs_overflow() {
+        // Finite entry, but `â²` overflows f32: the costs would be +∞.
+        let _ = CostMatrix::from_proto_action(&[f32::MAX / 2.0, 0.0], 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or infinite cost")]
+    fn rejects_finite_proto_whose_costs_are_nan() {
+        // `2·â` overflows too: `1 − ∞ + ∞ = NaN`.
+        let _ = CostMatrix::from_proto_action(&[f32::MAX, 0.0], 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or infinite cost")]
+    fn rejects_mixed_infinities() {
+        // A −∞ row beside a +∞ row used to be accepted and only failed
+        // inside the K-best heap, on the NaN sum.
+        let _ = CostMatrix::new(2, 2, vec![f64::NEG_INFINITY, 0.0, f64::INFINITY, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or infinite cost at (0, 1)")]
+    fn fill_with_rejects_infinity() {
+        let mut c = CostMatrix::new(1, 2, vec![0.0; 2]);
+        c.fill_with(|_, j| if j == 1 { f64::NEG_INFINITY } else { 0.0 });
     }
 
     #[test]
@@ -215,18 +239,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NaN cost")]
+    #[should_panic(expected = "NaN or infinite cost")]
     fn fill_with_rejects_nan() {
         let mut c = CostMatrix::new(1, 2, vec![0.0; 2]);
         c.fill_with(|_, _| f64::NAN);
-    }
-
-    #[test]
-    fn sorted_columns_into_reuses_and_matches() {
-        let c = CostMatrix::new(2, 3, vec![3.0, 1.0, 2.0, 0.5, 2.5, 1.5]);
-        let mut buf = vec![vec![9usize; 8]; 5]; // wrong shape on purpose
-        c.sorted_columns_into(&mut buf);
-        assert_eq!(buf, c.sorted_columns());
-        assert_eq!(buf, vec![vec![1, 2, 0], vec![0, 2, 1]]);
     }
 }

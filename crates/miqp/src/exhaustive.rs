@@ -1,6 +1,7 @@
 //! Brute-force enumeration over all `M^N` actions — the ground-truth oracle
 //! the exact solvers are validated against in tests. Guarded against use on
-//! anything large.
+//! anything large. Tests also get the sorted K-best fold, the bit-exact
+//! oracle of [`crate::kbest`].
 
 use crate::cost::CostMatrix;
 use crate::{Scalar, Solution};
@@ -46,6 +47,84 @@ pub fn brute_force_k_best<S: Scalar>(costs: &CostMatrix<S>, k: usize) -> Vec<Sol
             i += 1;
         }
     }
+}
+
+/// The K-best fold as it ran before the deviation fold replaced it — every
+/// row fully sorted, every surviving prefix copied, a binary heap over the
+/// merge frontier — kept as the exact oracle
+/// [`crate::kbest::k_best_assignments`] must reproduce bit for bit.
+#[cfg(test)]
+pub(crate) fn sorted_fold_k_best<S: Scalar>(costs: &CostMatrix<S>, k: usize) -> Vec<Solution<S>> {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// A frontier cell, ordered so the max-heap pops the smallest
+    /// `(cost, partial_idx, rank)` first.
+    struct Frontier<T> {
+        cost: T,
+        partial_idx: usize,
+        rank: usize,
+    }
+    impl<T: Scalar> PartialEq for Frontier<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl<T: Scalar> Eq for Frontier<T> {}
+    impl<T: Scalar> PartialOrd for Frontier<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<T: Scalar> Ord for Frontier<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .cost
+                .partial_cmp(&self.cost)
+                .expect("NaN cost")
+                .then_with(|| other.partial_idx.cmp(&self.partial_idx))
+                .then_with(|| other.rank.cmp(&self.rank))
+        }
+    }
+
+    let mut partials = vec![Solution {
+        cost: S::ZERO,
+        choice: Vec::new(),
+    }];
+    for (i, order) in costs.sorted_columns().iter().enumerate() {
+        let mut heap = BinaryHeap::new();
+        heap.push(Frontier {
+            cost: partials[0].cost + costs.cost(i, order[0]),
+            partial_idx: 0,
+            rank: 0,
+        });
+        let mut next = Vec::with_capacity(k);
+        while next.len() < k {
+            let Some(top) = heap.pop() else { break };
+            let mut choice = partials[top.partial_idx].choice.clone();
+            choice.push(order[top.rank]);
+            next.push(Solution {
+                cost: top.cost,
+                choice,
+            });
+            if top.rank + 1 < costs.m() {
+                heap.push(Frontier {
+                    cost: partials[top.partial_idx].cost + costs.cost(i, order[top.rank + 1]),
+                    partial_idx: top.partial_idx,
+                    rank: top.rank + 1,
+                });
+            }
+            if top.rank == 0 && top.partial_idx + 1 < partials.len() {
+                heap.push(Frontier {
+                    cost: partials[top.partial_idx + 1].cost + costs.cost(i, order[0]),
+                    partial_idx: top.partial_idx + 1,
+                    rank: 0,
+                });
+            }
+        }
+        partials = next;
+    }
+    partials
 }
 
 #[cfg(test)]

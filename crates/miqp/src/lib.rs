@@ -21,7 +21,10 @@
 //! so the K nearest actions are the K cheapest combinations of per-row
 //! column choices. This crate provides:
 //!
-//! * [`kbest`] — an exact, polynomial K-best enumeration (the default);
+//! * [`kbest`] — an exact K-best enumeration (the default) whose cost
+//!   follows the deviations from the per-row optimum: `O(N·M + N·K)` per
+//!   query plus `O(M + K·min(K, M))` for each row where a deviation can
+//!   still enter the K best;
 //! * [`bnb`] — exact best-first branch-and-bound that also supports
 //!   per-machine **capacity constraints** (an extension beyond the paper);
 //! * [`relax`] — the paper's fallback for very large cases: continuous
@@ -41,9 +44,7 @@ pub mod relax;
 pub use bnb::solve_capacitated;
 pub use cost::CostMatrix;
 pub use exhaustive::brute_force_k_best;
-pub use kbest::{
-    k_best_assignments, k_best_assignments_into, k_best_assignments_with, KBestWorkspace,
-};
+pub use kbest::{k_best_assignments, k_best_assignments_into, KBestWorkspace};
 pub use relax::{project_row_simplex, relax_and_round};
 
 /// The numeric cost type: every solver is generic over `dss-nn`'s sealed

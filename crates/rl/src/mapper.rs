@@ -26,7 +26,7 @@ pub struct CandidateAction<S: Scalar = Elem> {
 ///
 /// The required method is the buffer-reusing [`ActionMapper::nearest_into`];
 /// allocating and batched forms are provided on top of it. Implementations
-/// with per-shape setup (cost matrices, sorted column orders) keep it as
+/// with per-shape setup (cost matrices, enumeration workspaces) keep it as
 /// mapper state so back-to-back queries — in particular the `H` per-batch
 /// queries of `DdpgAgent::train_step` via
 /// [`ActionMapper::nearest_batch_into`] — amortize it instead of
@@ -85,42 +85,57 @@ fn write_onehot<S: Scalar>(choice: &[usize], m: usize, out: &mut Vec<S>) {
     }
 }
 
+/// Rewrites `slot` to `sol`, reusing its one-hot and choice buffers. A
+/// slot that already encodes an `N`-row choice at this width — every slot
+/// this module wrote keeps `onehot` the encoding of `choice` — only has
+/// its old ones cleared and the new ones set: `O(N)`, not `O(N·M)`.
+fn write_candidate<S: Scalar>(sol: &Solution<S>, m: usize, slot: &mut CandidateAction<S>) {
+    let n = sol.choice.len();
+    if slot.choice.len() == n && slot.onehot.len() == n * m {
+        for (i, &j) in slot.choice.iter().enumerate() {
+            slot.onehot[i * m + j] = S::ZERO;
+        }
+        for (i, &j) in sol.choice.iter().enumerate() {
+            slot.onehot[i * m + j] = S::ONE;
+        }
+    } else {
+        write_onehot(&sol.choice, m, &mut slot.onehot);
+    }
+    slot.cost = sol.cost;
+    slot.choice.clear();
+    slot.choice.extend_from_slice(&sol.choice);
+}
+
 /// Rewrites `out` from borrowed solver solutions, reusing each slot's
 /// one-hot *and* choice buffers (with the solver's own solutions living
 /// in mapper-held workspace, a warm `nearest_into` allocates nothing).
 fn fill_candidates<S: Scalar>(sols: &[Solution<S>], m: usize, out: &mut Vec<CandidateAction<S>>) {
     out.truncate(sols.len());
     for (i, s) in sols.iter().enumerate() {
-        if let Some(slot) = out.get_mut(i) {
-            write_onehot(&s.choice, m, &mut slot.onehot);
-            slot.cost = s.cost;
-            slot.choice.clear();
-            slot.choice.extend_from_slice(&s.choice);
-        } else {
-            let mut onehot = Vec::new();
-            write_onehot(&s.choice, m, &mut onehot);
+        if i == out.len() {
             out.push(CandidateAction {
-                onehot,
+                choice: Vec::new(),
+                onehot: Vec::new(),
                 cost: s.cost,
-                choice: s.choice.clone(),
             });
         }
+        write_candidate(s, m, &mut out[i]);
     }
 }
 
-/// Exact K-NN via the k-best enumeration in `dss-miqp`, with the cost
-/// matrix, per-row sorted column orders, the enumeration workspace and
-/// the solution buffer all kept as reusable state — a warm query
-/// allocates nothing.
+/// Exact K-NN via the k-best enumeration in `dss-miqp`, whose cost
+/// follows the rows where a deviation from the row-wise argmin can enter
+/// the K best. The cost matrix, the enumeration workspace and the
+/// solution buffer are kept as reusable state — a warm query allocates
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct KBestMapper<S: Scalar = Elem> {
     n: usize,
     m: usize,
     /// Reused MIQP-NN cost matrix (refilled per query in place).
     costs: CostMatrix<S>,
-    /// Reused per-row column orders for the enumeration.
-    sorted: Vec<Vec<usize>>,
-    /// Reused k-best fold state (partials double buffer + frontier heap).
+    /// Reused k-best fold state (partial costs, deviation arena, merge
+    /// frontier).
     ws: KBestWorkspace<S>,
     /// Reused solution buffer the enumeration publishes into.
     sols: Vec<Solution<S>>,
@@ -137,7 +152,6 @@ impl<S: Scalar> KBestMapper<S> {
             n,
             m,
             costs: CostMatrix::new(n, m, vec![S::ZERO; n * m]),
-            sorted: Vec::new(),
             ws: KBestWorkspace::default(),
             sols: Vec::new(),
         }
@@ -147,8 +161,7 @@ impl<S: Scalar> KBestMapper<S> {
 impl<S: Scalar> ActionMapper<S> for KBestMapper<S> {
     fn nearest_into(&mut self, proto: &[S], k: usize, out: &mut Vec<CandidateAction<S>>) {
         self.costs.set_proto_action(proto);
-        self.costs.sorted_columns_into(&mut self.sorted);
-        k_best_assignments_into(&self.costs, k, &self.sorted, &mut self.ws, &mut self.sols);
+        k_best_assignments_into(&self.costs, k, &[], &mut self.ws, &mut self.sols);
         fill_candidates(&self.sols, self.m, out);
     }
 
@@ -167,7 +180,9 @@ impl<S: Scalar> ActionMapper<S> for KBestMapper<S> {
 ///    `gc_i(g) = min_{j ∈ g} c_i(j)`, recording each row's argbest machine
 ///    per group (one `O(N·M)` pass);
 /// 2. runs the exact k-best enumeration over the `G`-column matrix
-///    (`O(N · K log K)` after an `O(N · G log G)` sort — `G ≪ M`);
+///    (`O(N·G + N·K)`, plus `O(G + K·min(K, G))` per row where a
+///    deviation from the row's best group can still enter the K best —
+///    `G ≪ M`);
 /// 3. refines each winning group assignment to machines via the recorded
 ///    argbests. Because `gc_i(g)` *is* the cost of the refined machine, a
 ///    group solution's cost equals the true flat cost of its refinement —
@@ -179,9 +194,8 @@ impl<S: Scalar> ActionMapper<S> for KBestMapper<S> {
 ///    pruning), so the batched critic argmax downstream scores `H·P`
 ///    instead of `H·K` candidates.
 ///
-/// All intermediate state (both cost matrices, argbest table, sorted
-/// orders, fold workspace, solutions) is mapper-held: warm queries
-/// allocate nothing.
+/// All intermediate state (both cost matrices, argbest table, fold
+/// workspace, solutions) is mapper-held: warm queries allocate nothing.
 #[derive(Debug, Clone)]
 pub struct HierarchicalMapper<S: Scalar = Elem> {
     n: usize,
@@ -194,8 +208,6 @@ pub struct HierarchicalMapper<S: Scalar = Elem> {
     gcosts: CostMatrix<S>,
     /// `argbest[i * G + g]` = cheapest machine of group `g` for row `i`.
     argbest: Vec<usize>,
-    /// Reused per-row column orders over the group matrix.
-    sorted: Vec<Vec<usize>>,
     ws: KBestWorkspace<S>,
     sols: Vec<Solution<S>>,
 }
@@ -234,7 +246,6 @@ impl<S: Scalar> HierarchicalMapper<S> {
             costs: CostMatrix::new(n, m, vec![S::ZERO; n * m]),
             gcosts: CostMatrix::new(n, n_groups, vec![S::ZERO; n * n_groups]),
             argbest: vec![0; n * n_groups],
-            sorted: Vec::new(),
             ws: KBestWorkspace::default(),
             sols: Vec::new(),
             groups,
@@ -284,10 +295,10 @@ impl<S: Scalar> ActionMapper<S> for HierarchicalMapper<S> {
             argbest[i * n_groups + gi] = best_j;
             best
         });
-        self.gcosts.sorted_columns_into(&mut self.sorted);
-        k_best_assignments_into(&self.gcosts, k, &self.sorted, &mut self.ws, &mut self.sols);
-        // Refine group choices to machines in place (write_solution fully
-        // rewrites each slot next query, so this is safe) and apply top-P.
+        k_best_assignments_into(&self.gcosts, k, &[], &mut self.ws, &mut self.sols);
+        // Refine group choices to machines in place (the enumeration fully
+        // rewrites each solution next query, so this is safe) and apply
+        // top-P.
         for sol in &mut self.sols {
             for (i, c) in sol.choice.iter_mut().enumerate() {
                 *c = argbest[i * n_groups + *c];
@@ -429,6 +440,34 @@ mod tests {
         // ...through the same one-hot allocations.
         for (cand, ptr) in out.iter().zip(&onehot_ptrs) {
             assert_eq!(cand.onehot.as_ptr(), *ptr, "one-hot buffer reallocated");
+        }
+    }
+
+    #[test]
+    fn reused_slots_encode_each_new_choice_across_shapes() {
+        let sol = |choice: Vec<usize>| Solution { cost: 0.5, choice };
+        let mut out: Vec<CandidateAction<f64>> = Vec::new();
+        // (solutions, m): a first fill, new choices at the same shape (the
+        // O(N) rewrite), a wider m, then 4 × 3 — the same one-hot width as
+        // 3 × 4, so only the row count tells the shapes apart — and 4 × 2.
+        // Each must leave exactly the fresh encoding behind.
+        let rounds = [
+            (vec![sol(vec![0, 1, 2]), sol(vec![2, 2, 0])], 3),
+            (vec![sol(vec![1, 1, 1]), sol(vec![2, 2, 0])], 3),
+            (vec![sol(vec![3, 0, 1])], 4),
+            (vec![sol(vec![0, 1, 2, 0]), sol(vec![2, 1, 0, 2])], 3),
+            (vec![sol(vec![0, 1, 0, 1]), sol(vec![1, 0, 1, 0])], 2),
+        ];
+        for (sols, m) in &rounds {
+            fill_candidates(sols, *m, &mut out);
+            assert_eq!(out.len(), sols.len());
+            for (cand, s) in out.iter().zip(sols) {
+                let mut fresh = Vec::new();
+                write_onehot(&s.choice, *m, &mut fresh);
+                assert_eq!(cand.onehot, fresh, "one-hot of {:?} at m = {m}", s.choice);
+                assert_eq!(cand.choice, s.choice);
+                assert_eq!(cand.cost, s.cost);
+            }
         }
     }
 

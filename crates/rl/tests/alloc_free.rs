@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dss_rl::{ActScratch, DdpgAgent, DdpgConfig, Elem, KBestMapper, Transition};
+use dss_rl::{ActScratch, ActionMapper, DdpgAgent, DdpgConfig, Elem, KBestMapper, Transition};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -85,7 +85,7 @@ fn warm_decisions_allocate_nothing(extras: &[Vec<usize>]) {
             .0
     };
 
-    // Warm-up: fills the act scratch, the mapper's cost/sort/k-best
+    // Warm-up: fills the act scratch, the mapper's cost and k-best
     // workspaces, the critic-row matrix and the thread-local pack buffers.
     for _ in 0..32 {
         step(&mut rng, &mut state, &mut scratch);
@@ -122,6 +122,49 @@ fn warm_decision_over_an_elite_memory_allocates_nothing() {
         .map(|e| (0..6).map(|i| (e + i) % 4).collect())
         .collect();
     warm_decisions_allocate_nothing(&elites);
+}
+
+/// The K-NN query's work depends on the proto: a row whose best column
+/// leads by a wide enough gap is folded in place, any other row merges and
+/// records deviations. Warm a mapper on protos where nearly every row is
+/// of the first kind, then query protos where every row is of the second
+/// (all costs tied, then uniformly random): the deviation storage was
+/// reserved for the worst case up front, so nothing is acquired.
+#[test]
+fn warm_mapper_query_with_more_merged_rows_allocates_nothing() {
+    let (n, m, k) = (40usize, 6usize, 8usize);
+    let mut mapper = KBestMapper::new(n, m);
+    let mut out = Vec::new();
+    // Rows 0–1 lead by a cost gap of 1, the rest by 6: after two rows the
+    // partial costs span at most 2, so rows 2.. never merge.
+    let peaked: Vec<Elem> = (0..n * m)
+        .map(|e| {
+            let (i, j) = (e / m, e % m);
+            match (j == i % m, i < 2) {
+                (false, _) => 0.0,
+                (true, true) => 0.5,
+                (true, false) => 3.0,
+            }
+        })
+        .collect();
+    let tied: Vec<Elem> = vec![0.25; n * m];
+    let mut rng = StdRng::seed_from_u64(3);
+    let random: Vec<Elem> = (0..n * m).map(|_| rng.random_range(0.0..1.0)).collect();
+
+    for _ in 0..4 {
+        mapper.nearest_into(&peaked, k, &mut out);
+    }
+    assert_eq!(out.len(), k, "sanity: the warm-up filled every slot");
+    ALLOCS.set(Some(0));
+    for proto in [&tied, &random, &peaked, &tied] {
+        mapper.nearest_into(proto, k, &mut out);
+    }
+    let allocs = ALLOCS.replace(None).expect("set above");
+    assert_eq!(out.len(), k);
+    assert_eq!(
+        allocs, 0,
+        "a warm K-NN query must not allocate (saw {allocs} allocations over 4 queries)"
+    );
 }
 
 /// The learner's case: a warm `train_step` — minibatch assembly, the

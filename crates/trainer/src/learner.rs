@@ -195,8 +195,11 @@ impl Learner {
     }
 
     /// The continuous loop: drain batches as they arrive, train between
-    /// (and without) them, and stop once every worker is done and the
-    /// queue has drained. Publishes a final policy on exit.
+    /// (and without) them, and stop once `live_workers` is zero and the
+    /// queue has drained. Publishes a final policy on exit. The count
+    /// must fall only when a worker's batches are all in the queue — for
+    /// a remote worker, when its serving thread returns, not when the
+    /// worker does.
     pub fn drive(
         &mut self,
         queue: &BoundedQueue<TransitionRows>,

@@ -231,7 +231,7 @@ where
     let mut servers = Vec::new();
     for i in 0..tc.n_workers {
         let setup = factory(i);
-        let live = Arc::clone(&live);
+        let producer = Producer(Arc::clone(&live));
         match link {
             WorkerLink::InProcess => {
                 let client = LocalClient {
@@ -239,20 +239,21 @@ where
                     queue: Arc::clone(&queue),
                     stats: Arc::clone(&stats),
                 };
-                workers.push(spawn_worker(i, setup, cfg, client, tc, live));
+                workers.push(spawn_worker(i, setup, cfg, client, tc, Some(producer)));
             }
             WorkerLink::Channel(chaos) => {
                 let (worker_side, server_side) = ChannelTransport::pair();
-                servers.push(spawn_server(server_side, &ps, &queue, &stats));
+                servers.push(spawn_server(server_side, &ps, &queue, &stats, producer));
                 let transport = chaosify(worker_side, chaos, i);
                 let client = RemoteClient::new(transport, reply_timeout);
-                workers.push(spawn_worker(i, setup, cfg, client, tc, live));
+                workers.push(spawn_worker(i, setup, cfg, client, tc, None));
             }
             WorkerLink::Tcp(chaos) => {
                 let (listener, addr) = TcpTransport::listen_localhost().expect("loopback listener");
                 let (ps2, queue2, stats2) =
                     (Arc::clone(&ps), Arc::clone(&queue), Arc::clone(&stats));
                 servers.push(std::thread::spawn(move || {
+                    let _producer = producer;
                     let transport = TcpTransport::accept(&listener).expect("accept worker");
                     transport
                         .set_io_deadline(Some(Duration::from_millis(500)))
@@ -264,7 +265,7 @@ where
                     .set_io_deadline(Some(Duration::from_millis(500)))
                     .expect("worker deadline");
                 let client = RemoteClient::new(chaosify(transport, chaos, i), reply_timeout);
-                workers.push(spawn_worker(i, setup, cfg, client, tc, live));
+                workers.push(spawn_worker(i, setup, cfg, client, tc, None));
             }
         }
     }
@@ -307,13 +308,28 @@ fn chaosify<T: Transport>(transport: T, chaos: &Option<ChaosPlan>, worker: usize
     wrapped
 }
 
+/// One queue producer's hold on the learner's drain: [`Learner::drive`]
+/// runs until the live count it decrements on drop reaches zero and the
+/// queue is empty. The thread that pushes a worker's batches holds it —
+/// the worker itself in process, the serving thread for a remote link,
+/// which has enqueued every batch frame once it returns. (A remote
+/// worker's own return proves nothing: its last batch may still be on
+/// the wire.)
+struct Producer(Arc<AtomicUsize>);
+
+impl Drop for Producer {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
 fn spawn_worker<E, C>(
     id: usize,
     setup: ActorSetup<E>,
     cfg: &ControlConfig,
     client: C,
     tc: &TrainerConfig,
-    live: Arc<AtomicUsize>,
+    producer: Option<Producer>,
 ) -> std::thread::JoinHandle<()>
 where
     E: Environment + Send + 'static,
@@ -322,8 +338,8 @@ where
     let mut worker = RolloutWorker::new(id, setup, cfg, client);
     let (rounds, steps) = (tc.rounds, tc.steps_per_round);
     std::thread::spawn(move || {
+        let _producer = producer;
         worker.run(rounds, steps);
-        live.fetch_sub(1, Ordering::Release);
     })
 }
 
@@ -332,9 +348,13 @@ fn spawn_server(
     ps: &Arc<ParameterServer>,
     queue: &Arc<BoundedQueue<TransitionRows>>,
     stats: &Arc<SharedStats>,
+    producer: Producer,
 ) -> std::thread::JoinHandle<()> {
     let (ps, queue, stats) = (Arc::clone(ps), Arc::clone(queue), Arc::clone(stats));
-    std::thread::spawn(move || serve_worker(transport, ps, queue, stats))
+    std::thread::spawn(move || {
+        let _producer = producer;
+        serve_worker(transport, ps, queue, stats);
+    })
 }
 
 /// PS-side serving loop for one remote worker connection: answers
@@ -426,4 +446,44 @@ pub fn run_remote_worker(
     let mut worker = RolloutWorker::new(worker_id, setup, cfg, client);
     worker.run(rounds, steps_per_round);
     Ok(worker.pushed_rows())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn remote_producer_is_released_only_after_its_batches_are_queued() {
+        // A remote worker can return — and say `Bye` — while its last
+        // batches are still unread on the link. The learner stops draining
+        // once the live count is zero and the queue is empty, so the count
+        // must drop only when the serving thread has queued every frame.
+        let (worker_side, server_side) = ChannelTransport::pair();
+        for version in 1..=3 {
+            let mut batch = TransitionRows::new(version, 2, 1);
+            batch.push_row(&[0.5, 1.0], &[1.0], -1.0, &[1.0, 0.5]);
+            worker_side.send(&batch.to_message()).expect("channel open");
+        }
+        worker_side.send(&Message::Bye).expect("channel open");
+        drop(worker_side);
+
+        let live = Arc::new(AtomicUsize::new(1));
+        let (ps, queue, stats) = (
+            Arc::new(ParameterServer::new()),
+            Arc::new(BoundedQueue::new(8)),
+            Arc::new(SharedStats::new()),
+        );
+        let server = spawn_server(
+            server_side,
+            &ps,
+            &queue,
+            &stats,
+            Producer(Arc::clone(&live)),
+        );
+        while live.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(queue.len(), 3, "every batch is queued before release");
+        server.join().expect("server thread");
+    }
 }
