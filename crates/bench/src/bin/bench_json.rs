@@ -610,11 +610,11 @@ fn main() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // ---- fleet-scale engine step: event calendar vs dense oracle --------
+    // ---- fleet-scale engine step: event-driven engine vs dense oracle ----
     // One 0.25 s decision epoch of the cq-fleet scenario (1152 executors,
     // 128 machines, 7 of 8 ingest lanes silent). The dense oracle scans
     // every pending event per pop and keeps idle spouts polling; the
-    // event-driven engine pops from a binary heap and parks silent spouts,
+    // event-driven engine pops from a 4-ary heap and parks silent spouts,
     // so its cost follows the ~100 busy executors, not the cluster.
     // Gated (`fleet_engine_step` >= 5x): sublinearity in idle capacity
     // must not regress.

@@ -30,7 +30,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::event::{EventKind, EventQueue};
 use crate::latency::LatencyTracker;
-use crate::rng::{self, sample_count, sample_exponential, sample_service_time, Zipf};
+use crate::rng::{self, sample_count, sample_exponential, ServiceTime, Zipf};
 use crate::stats::RuntimeStats;
 use crate::topology::{key_to_executor, Grouping, Topology};
 use crate::tuple::{AckOutcome, TupleTracker};
@@ -134,6 +134,9 @@ pub struct SimEngine {
     pub(crate) service_rng: StdRng,
     pub(crate) routing_rng: StdRng,
     pub(crate) fields_keys: Vec<Option<Zipf>>,
+    /// Per component: its service-time distribution, parameters computed
+    /// once (derived from the topology, like `fields_keys`).
+    pub(crate) service: Vec<ServiceTime>,
     pub(crate) events_processed: u64,
     pub(crate) started: bool,
 }
@@ -156,6 +159,11 @@ impl SimEngine {
                 _ => None,
             })
             .collect();
+        let service = topology
+            .components()
+            .iter()
+            .map(|c| ServiceTime::new(c.service_mean_ms, c.service_cv))
+            .collect();
         Ok(Self {
             executors: (0..n).map(|_| ExecutorState::new(0.0)).collect(),
             machines: vec![MachineState::default(); cluster.n_machines()],
@@ -165,6 +173,7 @@ impl SimEngine {
             service_rng: rng::stream(config.seed, 2),
             routing_rng: rng::stream(config.seed, 3),
             fields_keys,
+            service,
             events: EventQueue::new(),
             clock: 0.0,
             events_processed: 0,
@@ -189,7 +198,7 @@ impl SimEngine {
 
     /// Selects the dense linear-scan event backend — the correctness
     /// oracle and bench baseline whose per-event cost is O(pending events)
-    /// instead of O(log) — or the default calendar heap.
+    /// instead of O(log) — or the default 4-ary heap.
     ///
     /// # Panics
     /// Panics after the first deploy: the backend cannot change mid-run.
@@ -282,11 +291,7 @@ impl SimEngine {
             "cannot run backwards: {t_end} < {}",
             self.clock
         );
-        while let Some(t) = self.events.peek_time() {
-            if t > t_end {
-                break;
-            }
-            let ev = self.events.pop().expect("peeked event");
+        while let Some(ev) = self.events.pop_until(t_end) {
             self.clock = ev.time;
             self.events_processed += 1;
             match ev.kind {
@@ -521,7 +526,7 @@ impl SimEngine {
         let cores = self.cluster.machines[machine].cores;
         let slowdown = (busy as f64 / cores as f64).max(1.0);
 
-        let comp = &self.topology.components()[self.topology.component_of(executor)];
+        let service = self.service[self.topology.component_of(executor)];
         let warmup = self
             .config
             .warmup_multiplier(now - self.executors[executor].started_at);
@@ -531,11 +536,7 @@ impl SimEngine {
         } else {
             0.0
         };
-        let service_ms =
-            (sample_service_time(&mut self.service_rng, comp.service_mean_ms, comp.service_cv)
-                + deser)
-                * warmup
-                * slowdown;
+        let service_ms = (service.sample(&mut self.service_rng) + deser) * warmup * slowdown;
         self.executors[executor].in_service = Some((root, machine));
         self.events.push(
             now + service_ms / 1000.0,
@@ -553,12 +554,13 @@ impl SimEngine {
         self.machines[machine].busy_executors -= 1;
         self.executors[executor].processed += 1;
 
-        // Route children along every outgoing edge.
+        // Route children along every outgoing edge (by index: routing needs
+        // `&mut self`, and copying the edge list would allocate per tuple).
         let comp_idx = self.topology.component_of(executor);
-        let out_edges: Vec<usize> = self.topology.out_edges_of(comp_idx).to_vec();
         let mut children = 0u64;
         let mut remote_children = 0u64;
-        for ei in out_edges {
+        for i in 0..self.topology.out_edges_of(comp_idx).len() {
+            let ei = self.topology.out_edges_of(comp_idx)[i];
             let (sent, remote) = self.route_edge(ei, executor, root);
             children += sent;
             remote_children += remote;
@@ -666,7 +668,7 @@ impl SimEngine {
             // Dense oracle: an idle spout polls for a rate change once a
             // second forever — one permanently pending event per idle
             // spout, exactly the O(cluster-size) per-epoch cost the
-            // calendar path avoids. Polls consume no randomness, so the
+            // event-driven path avoids. Polls consume no randomness, so the
             // two backends stay bit-identical wherever both emit.
             self.events
                 .push(self.clock + 1.0, EventKind::SpoutEmit { executor });
@@ -1104,10 +1106,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_calendar_backends_are_bit_identical() {
+    fn dense_and_heap_backends_are_bit_identical() {
         // Mostly-idle fleet slice: one live lane, one zero-rate lane, plus
         // a schedule step mid-run. The dense oracle polls the idle lane;
-        // the calendar backend parks it — trajectories must still match
+        // the heap backend parks it — trajectories must still match
         // exactly, epoch by epoch.
         let run = |dense: bool| {
             let topo = two_lane_topology();

@@ -55,11 +55,12 @@
 //!
 //! Fleet-scale scenarios (hundreds of machines, thousands of executors,
 //! most of them idle) must not pay per-epoch cost proportional to cluster
-//! size. The engine is organised around an **event calendar** (a binary
-//! heap of next-activity times, [`event::EventQueue`]) so each epoch only
-//! touches executors with pending work: idle machines schedule nothing and
-//! cost nothing. Spout executors whose emission rate is zero are **parked**
-//! — they hold no pending event at all. A spout silenced by its
+//! size. The engine is organised around an **event queue** (a 4-ary
+//! min-heap of next-activity times ordered by one integer key per event,
+//! [`event::EventQueue`]) so each epoch only touches executors with
+//! pending work: idle machines schedule nothing and cost nothing. Spout
+//! executors whose emission rate is zero are **parked** — they hold no
+//! pending event at all. A spout silenced by its
 //! [`workload::RateSchedule`] (positive base rate, zero multiplier) sleeps
 //! until [`workload::RateSchedule::next_change_after`] says its rate can
 //! next become non-zero; a spout with a zero *base* rate parks outright and
@@ -75,7 +76,7 @@
 //! baseline. Select it per engine with
 //! [`engine::SimEngine::set_dense_events`] (before the first deploy). Both
 //! backends share one `(time, seq)` event order and polls consume no
-//! randomness, so dense and calendar runs produce **bit-identical latency
+//! randomness, so dense and heap runs produce **bit-identical latency
 //! trajectories** on every registry scenario — asserted by tests and the CI
 //! fleet-smoke job, and exploited by the `fleet_engine_step` bench pair
 //! that gates the dense-vs-event speedup under mostly-idle load.

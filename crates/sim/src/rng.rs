@@ -44,23 +44,51 @@ pub fn sample_lognormal_noise(rng: &mut StdRng, sigma: f64) -> f64 {
     (sigma * sample_standard_normal(rng)).exp()
 }
 
-/// Gamma-like positive service-time sample with mean `mean` and coefficient
-/// of variation `cv`, implemented as a lognormal matched on the first two
-/// moments. `cv = 0` is deterministic.
+/// A gamma-like positive service-time distribution with mean `mean` and
+/// coefficient of variation `cv`, implemented as a lognormal matched on the
+/// first two moments. `cv = 0` is deterministic.
 ///
-/// # Panics
-/// Panics on non-positive mean or negative `cv`.
-pub fn sample_service_time(rng: &mut StdRng, mean: f64, cv: f64) -> f64 {
-    assert!(mean > 0.0, "service mean must be positive");
-    assert!(cv >= 0.0, "cv must be non-negative");
-    if cv == 0.0 {
-        return mean;
+/// The lognormal parameters are computed once, when the distribution is
+/// built, so a sample costs one normal draw and one `exp`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServiceTime {
+    /// The mean, returned as is when the distribution is deterministic.
+    mean: f64,
+    /// `cv == 0`. Not the same as `σ == 0`: a `cv` below ≈ 1e-8 rounds
+    /// `1 + cv²` to 1, yet still draws a normal.
+    deterministic: bool,
+    /// `μ = ln(mean) − σ²/2`.
+    mu: f64,
+    /// `σ = √ln(1 + cv²)`.
+    sigma: f64,
+}
+
+impl ServiceTime {
+    /// The distribution with mean `mean` and coefficient of variation `cv`.
+    ///
+    /// # Panics
+    /// Panics on non-positive mean or negative `cv`.
+    pub fn new(mean: f64, cv: f64) -> Self {
+        assert!(mean > 0.0, "service mean must be positive");
+        assert!(cv >= 0.0, "cv must be non-negative");
+        // Lognormal with E = mean, Var = (cv·mean)²:
+        // σ² = ln(1 + cv²), μ = ln(mean) − σ²/2.
+        let sigma2 = (1.0 + cv * cv).ln();
+        Self {
+            mean,
+            deterministic: cv == 0.0,
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
     }
-    // Lognormal with E = mean, Var = (cv·mean)²:
-    // σ² = ln(1 + cv²), μ = ln(mean) − σ²/2.
-    let sigma2 = (1.0 + cv * cv).ln();
-    let mu = mean.ln() - sigma2 / 2.0;
-    (mu + sigma2.sqrt() * sample_standard_normal(rng)).exp()
+
+    /// Draws one service time. `cv = 0` is deterministic and draws nothing.
+    pub fn sample(&self, rng: &mut StdRng) -> f64 {
+        if self.deterministic {
+            return self.mean;
+        }
+        (self.mu + self.sigma * sample_standard_normal(rng)).exp()
+    }
 }
 
 /// Probabilistic integer rounding: `4.3 -> 4` (70%) or `5` (30%), preserving
@@ -170,9 +198,8 @@ mod tests {
     fn service_time_moments() {
         let mut rng = stream(9, 0);
         let n = 50_000;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| sample_service_time(&mut rng, 1.5, 0.5))
-            .collect();
+        let dist = ServiceTime::new(1.5, 0.5);
+        let samples: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let sd = (samples.iter().map(|&v| (v - mean).powi(2)).sum::<f64>() / n as f64).sqrt();
         assert!((mean - 1.5).abs() < 0.03, "mean {mean}");
@@ -183,7 +210,33 @@ mod tests {
     #[test]
     fn deterministic_service_time_at_zero_cv() {
         let mut rng = stream(1, 2);
-        assert_eq!(sample_service_time(&mut rng, 0.7, 0.0), 0.7);
+        let before = rng.state();
+        assert_eq!(ServiceTime::new(0.7, 0.0).sample(&mut rng), 0.7);
+        assert_eq!(rng.state(), before, "cv = 0 draws nothing");
+    }
+
+    #[test]
+    fn cached_parameters_sample_like_the_direct_formula() {
+        // The lognormal parameters computed per sample, as the engine did
+        // before caching them: every sample and the RNG cursor must match
+        // bit for bit — including a cv so small that 1 + cv² rounds to 1.
+        let direct = |rng: &mut StdRng, mean: f64, cv: f64| {
+            let sigma2 = (1.0f64 + cv * cv).ln();
+            let mu = mean.ln() - sigma2 / 2.0;
+            (mu + sigma2.sqrt() * sample_standard_normal(rng)).exp()
+        };
+        for (mean, cv) in [(0.05, 0.5), (1.5, 0.5), (0.3, 1.7), (2.0, 1e-9), (9.0, 3.0)] {
+            let dist = ServiceTime::new(mean, cv);
+            let (mut a, mut b) = (stream(4, 1), stream(4, 1));
+            for _ in 0..1000 {
+                assert_eq!(
+                    dist.sample(&mut a).to_bits(),
+                    direct(&mut b, mean, cv).to_bits(),
+                    "mean {mean}, cv {cv}"
+                );
+            }
+            assert_eq!(a.state(), b.state());
+        }
     }
 
     #[test]

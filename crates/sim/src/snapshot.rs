@@ -5,7 +5,7 @@
 //! control plane needs the same property for the *engine*: a standby
 //! master that takes over mid-run must continue the discrete-event
 //! trajectory exactly where the dead leader left it — same pending event
-//! calendar, same RNG streams, same latency-window accumulators — or the
+//! queue, same RNG streams, same latency-window accumulators — or the
 //! repo-wide bit-reproducibility invariant breaks the moment a failover
 //! happens.
 //!
@@ -228,11 +228,29 @@ fn put_event(w: &mut Writer, ev: &Event) {
     }
 }
 
-fn get_event(r: &mut Reader<'_>, n_executors: usize) -> Result<Event, SimError> {
+/// Decodes one pending event. Its time must be finite, not before the
+/// clock, and not `-0.0` (the queue stores zero as `+0.0`; its key order
+/// relies on it); its seq must be below the queue's `next_seq`.
+fn get_event(
+    r: &mut Reader<'_>,
+    n_executors: usize,
+    clock: f64,
+    next_seq: u64,
+) -> Result<Event, SimError> {
     let time = r.f64()?;
     let seq = r.u64()?;
-    if !time.is_finite() || time < 0.0 {
+    if !time.is_finite() || time.is_sign_negative() {
         return Err(SimError::InvalidSnapshot(format!("bad event time {time}")));
+    }
+    if time < clock {
+        return Err(SimError::InvalidSnapshot(format!(
+            "event time {time} is before the clock {clock}"
+        )));
+    }
+    if seq >= next_seq {
+        return Err(SimError::InvalidSnapshot(format!(
+            "event seq {seq} is not below next_seq {next_seq}"
+        )));
     }
     let kind = match r.u8()? {
         0 => EventKind::SpoutEmit {
@@ -363,7 +381,7 @@ impl SimEngine {
     /// this engine, which must have been constructed with the same
     /// topology, cluster and config. After a successful restore the
     /// engine's future trajectory is bit-identical to what the snapshotted
-    /// engine would have produced. The event-queue backend (calendar vs
+    /// engine would have produced. The event-queue backend (heap vs
     /// dense) is kept as configured on `self` — both pop in the same
     /// order, so the choice does not affect the trajectory.
     ///
@@ -390,6 +408,10 @@ impl SimEngine {
         }
         let started = r.bool()?;
         let clock = r.f64()?;
+        // `-0.0` passes: `run_until(-0.0)` on a fresh engine leaves it there.
+        if !(clock.is_finite() && clock >= 0.0) {
+            return Err(SimError::InvalidSnapshot(format!("bad clock {clock}")));
+        }
         let events_processed = r.u64()?;
 
         let n_rates = r.len()?;
@@ -416,7 +438,15 @@ impl SimEngine {
         let n_events = r.len()?;
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            events.push(get_event(&mut r, n_executors)?);
+            events.push(get_event(&mut r, n_executors, clock, next_seq)?);
+        }
+        let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        if let Some(w) = seqs.windows(2).find(|w| w[0] == w[1]) {
+            return Err(SimError::InvalidSnapshot(format!(
+                "event seq {} repeats",
+                w[0]
+            )));
         }
 
         let mut executors = Vec::with_capacity(n_executors);
@@ -465,9 +495,18 @@ impl SimEngine {
         let completed = r.u64()?;
         let failed = r.u64()?;
         let n_pending = r.len()?;
-        let mut pending = Vec::with_capacity(n_pending);
+        let mut pending: Vec<(u64, f64, u64)> = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
-            pending.push((r.u64()?, r.f64()?, r.u64()?));
+            let root = r.u64()?;
+            // Roots are the engine's own sequential ids, saved in ascending
+            // order: one out of order, repeated or not yet issued is corrupt
+            // (a repeat would merge two trees in the acker's map).
+            if root >= next_root || pending.last().is_some_and(|&(prev, ..)| root <= prev) {
+                return Err(SimError::InvalidSnapshot(format!(
+                    "pending root {root} out of order or not below next_root {next_root}"
+                )));
+            }
+            pending.push((root, r.f64()?, r.u64()?));
         }
 
         let window_sum = r.f64()?;
@@ -507,6 +546,7 @@ impl SimEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::{get_event, get_rng, get_schedule, Reader};
     use crate::cluster::ClusterSpec;
     use crate::config::SimConfig;
     use crate::engine::SimEngine;
@@ -597,7 +637,7 @@ mod tests {
 
     #[test]
     fn restore_crosses_event_backends() {
-        // A calendar-engine snapshot restored into a dense-backend engine
+        // A heap-engine snapshot restored into a dense-backend engine
         // continues the identical trajectory (shared (time, seq) order).
         let mut original = engine(43);
         let rr = Assignment::round_robin(original.topology(), original.cluster());
@@ -679,5 +719,176 @@ mod tests {
         assert!(target.restore_state(&long).is_err());
         // The pristine image still restores.
         assert!(target.restore_state(&image).is_ok());
+    }
+
+    /// Byte offset of the clock in an image.
+    const CLOCK_AT: usize = 4 + 4 + 8 + 8 + 1;
+
+    /// Byte offsets of the fields the rejection tests corrupt, found by
+    /// decoding the image up to them.
+    struct Layout {
+        next_seq: usize,
+        /// Each pending event (its time; its seq follows).
+        events: Vec<usize>,
+        next_root: usize,
+        /// Each pending tree (its root).
+        pending: Vec<usize>,
+    }
+
+    fn layout(image: &[u8]) -> Layout {
+        let mut r = Reader::new(image);
+        r.take(8).unwrap();
+        let (n_executors, n_machines) = (r.usize().unwrap(), r.usize().unwrap());
+        r.take(1 + 8 + 8).unwrap();
+        for _ in 0..r.len().unwrap() {
+            r.usize().unwrap();
+            r.f64().unwrap();
+        }
+        get_schedule(&mut r).unwrap();
+        for _ in 0..r.len().unwrap() {
+            r.usize().unwrap();
+        }
+        for _ in 0..3 {
+            get_rng(&mut r).unwrap();
+        }
+        let next_seq = r.at;
+        r.u64().unwrap();
+        let events = (0..r.len().unwrap())
+            .map(|_| {
+                let at = r.at;
+                get_event(&mut r, usize::MAX, 0.0, u64::MAX).unwrap();
+                at
+            })
+            .collect();
+        for _ in 0..n_executors {
+            let queued = r.len().unwrap();
+            r.take(queued * 9).unwrap();
+            if r.u8().unwrap() == 1 {
+                r.take(16).unwrap();
+            }
+            r.take(8 * 4 + 1).unwrap();
+        }
+        r.take(n_machines * (8 * 3 + 1)).unwrap();
+        let next_root = r.at;
+        r.take(8 * 3).unwrap();
+        let pending = (0..r.len().unwrap())
+            .map(|_| {
+                let at = r.at;
+                r.take(8 * 3).unwrap();
+                at
+            })
+            .collect();
+        Layout {
+            next_seq,
+            events,
+            next_root,
+            pending,
+        }
+    }
+
+    fn put_u64(image: &mut [u8], at: usize, v: u64) {
+        image[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn get_u64(image: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+    }
+
+    /// Restoring `image` fails with an `InvalidSnapshot` naming `what`, and
+    /// leaves the target engine untouched and runnable.
+    fn assert_refused(image: &[u8], seed: u64, what: &str) {
+        let mut target = engine(seed);
+        match target.restore_state(image) {
+            Err(SimError::InvalidSnapshot(msg)) => {
+                assert!(msg.contains(what), "expected `{what}`, got `{msg}`")
+            }
+            other => panic!("expected InvalidSnapshot({what}), got {other:?}"),
+        }
+        assert_eq!(target.now(), 0.0);
+        let rr = Assignment::round_robin(target.topology(), target.cluster());
+        target.deploy(rr).unwrap();
+        assert!(target.step_epoch(2.0).is_some());
+    }
+
+    fn warm_image(seed: u64, until: f64) -> Vec<u8> {
+        let mut eng = engine(seed);
+        let rr = Assignment::round_robin(eng.topology(), eng.cluster());
+        eng.deploy(rr).unwrap();
+        eng.run_until(until);
+        eng.save_state()
+    }
+
+    #[test]
+    fn non_finite_or_negative_clock_is_refused() {
+        // A NaN clock used to restore `Ok`, and the next `step_epoch`
+        // panicked with "cannot run backwards".
+        let image = warm_image(47, 3.0);
+        for clock in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut bad = image.clone();
+            put_u64(&mut bad, CLOCK_AT, clock.to_bits());
+            assert_refused(&bad, 47, "bad clock");
+        }
+    }
+
+    #[test]
+    fn events_before_the_clock_are_refused() {
+        let mut image = warm_image(48, 3.0);
+        let events = layout(&image).events;
+        put_u64(&mut image, events[0], 2.5f64.to_bits());
+        assert_refused(&image, 48, "before the clock");
+    }
+
+    #[test]
+    fn event_seqs_at_or_past_next_seq_are_refused() {
+        let mut image = warm_image(49, 3.0);
+        let at = layout(&image);
+        let next_seq = get_u64(&image, at.next_seq);
+        put_u64(&mut image, at.events[0] + 8, next_seq);
+        assert_refused(&image, 49, "not below next_seq");
+    }
+
+    #[test]
+    fn repeated_event_seqs_are_refused() {
+        let mut image = warm_image(50, 3.0);
+        let events = layout(&image).events;
+        assert!(events.len() >= 2);
+        let seq = get_u64(&image, events[0] + 8);
+        put_u64(&mut image, events[events.len() - 1] + 8, seq);
+        assert_refused(&image, 50, "repeats");
+    }
+
+    #[test]
+    fn negative_zero_event_times_are_refused() {
+        // At clock 0 a `-0.0` event is not before the clock; it is refused
+        // because the queue's key order assumes `+0.0`.
+        let mut image = warm_image(51, 0.0);
+        let events = layout(&image).events;
+        assert!(!events.is_empty());
+        put_u64(&mut image, events[0], (-0.0f64).to_bits());
+        assert_refused(&image, 51, "bad event time");
+    }
+
+    #[test]
+    fn pending_roots_out_of_order_or_unissued_are_refused() {
+        // A dead machine holds its queued trees in flight.
+        let mut eng = engine(52);
+        let rr = Assignment::round_robin(eng.topology(), eng.cluster());
+        eng.deploy(rr).unwrap();
+        eng.run_until(2.0);
+        eng.fail_machine(1);
+        eng.run_until(3.0);
+        let image = eng.save_state();
+        let at = layout(&image);
+        assert!(at.pending.len() >= 2, "the warm image has trees in flight");
+        let next_root = get_u64(&image, at.next_root);
+        let first = get_u64(&image, at.pending[0]);
+        let second = get_u64(&image, at.pending[1]);
+        // Not yet issued, repeated, out of order.
+        let last = at.pending.len() - 1;
+        for (slot, root) in [(last, next_root), (1, first), (0, second + 1)] {
+            let mut bad = image.clone();
+            put_u64(&mut bad, at.pending[slot], root);
+            assert_refused(&bad, 52, "pending root");
+        }
     }
 }

@@ -6,6 +6,32 @@
 //! from emission to that final ack.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a root id with one multiply (Fibonacci hashing). Root ids are
+/// sequential ids the engine assigns itself (a restored image's too: they
+/// were the saving engine's), so there is no chosen key set to defend
+/// against and SipHash's cost buys nothing. The odd multiplier maps
+/// consecutive ids to distinct low bits (the bucket index) and mixes them
+/// into the high bits (the control byte).
+#[derive(Debug, Default, Clone, Copy)]
+struct RootHasher(u64);
+
+impl Hasher for RootHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Outcome of completing one tuple-tree node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,10 +47,11 @@ pub enum AckOutcome {
     Unknown,
 }
 
-/// Tracks pending tuple counts per root tuple.
+/// Tracks pending tuple counts per root tuple. The map's iteration order
+/// is never observed: snapshots sort by root.
 #[derive(Debug, Default)]
 pub struct TupleTracker {
-    pending: HashMap<u64, TreeState>,
+    pending: HashMap<u64, TreeState, BuildHasherDefault<RootHasher>>,
     next_root: u64,
     completed: u64,
     failed: u64,

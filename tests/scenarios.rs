@@ -116,7 +116,7 @@ fn sim_env_trajectories_are_bit_identical_across_thread_counts() {
 /// The event-driven engine against its dense oracle, on **every** registry
 /// scenario: same seed, same deploys, same epochs — the per-epoch latency
 /// trajectory and the processed-tuple counts must be bit-identical. The
-/// calendar only changes *how* the next event is found (binary heap vs
+/// queue backend only changes *how* the next event is found (4-ary heap vs
 /// full scan), never *which* event fires.
 #[test]
 fn event_engine_matches_dense_oracle_on_every_registry_scenario() {
@@ -140,6 +140,69 @@ fn event_engine_matches_dense_oracle_on_every_registry_scenario() {
             event.0.iter().flatten().all(|l| l.is_finite() && *l > 0.0),
             "{name}: latencies must be finite"
         );
+    }
+}
+
+/// The event-driven engine against its dense oracle at the **training**
+/// configuration (`Scenario::sim_env`: warm-up inflation, migration pauses,
+/// serialization pauses), which the registry-wide test above leaves out:
+/// 5 s epochs with a redeploy every epoch and a save → restore into a
+/// fresh engine halfway — of the same backend or of the other one. Every
+/// combination must produce the same per-epoch latency bits and tuple
+/// counts. Fleet-scale on the dense oracle is too slow for a debug build,
+/// hence `#[ignore]`d and run in CI `fleet-smoke`.
+#[test]
+#[ignore = "dense oracle at fleet scale; run in release (CI fleet-smoke)"]
+fn event_engine_matches_dense_oracle_at_training_config() {
+    let cfg = ControlConfig {
+        sim_epoch_s: 5.0,
+        ..ControlConfig::test()
+    };
+    let epochs = 8;
+    for name in ["cq-small-hetero-steady", "cq-fleet"] {
+        let sc = Scenario::by_name(name).expect("registry scenario");
+        // A redeploy every epoch: each moves one more executor one machine
+        // over, so every epoch pauses and re-warms a mover.
+        let mut current = sc.initial_assignment();
+        let (n, m) = (current.n_executors(), current.n_machines());
+        let plan: Vec<Assignment> = (0..epochs)
+            .map(|i| {
+                let e = (i * 7 + 3) % n;
+                current = current.with_move(e, (current.machine_of(e) + 1) % m);
+                current.clone()
+            })
+            .collect();
+        // `dense[0]` runs the first half, `dense[1]` the restored second.
+        let run = |dense: [bool; 2]| {
+            let fresh = |dense: bool| {
+                let mut env = sc.sim_env(&cfg, 17);
+                env.engine_mut().set_dense_events(dense);
+                env
+            };
+            let mut env = fresh(dense[0]);
+            let mut trajectory = Vec::new();
+            for (i, assignment) in plan.iter().enumerate() {
+                if i == epochs / 2 {
+                    let image = env.save_state().expect("SimEnv snapshots");
+                    env = fresh(dense[1]);
+                    env.restore_state(&image).expect("image restores");
+                }
+                let ms = env.deploy_and_measure(assignment, &sc.app.workload);
+                trajectory.push((ms.to_bits(), env.engine().tuple_counts()));
+            }
+            trajectory
+        };
+        let event = run([false, false]);
+        for dense in [[true, true], [false, true], [true, false]] {
+            assert_eq!(
+                event,
+                run(dense),
+                "{name}: diverged from the event engine with dense = {dense:?}"
+            );
+        }
+        assert!(event.iter().all(|&(ms, _)| f64::from_bits(ms).is_finite()));
+        let (_, (emitted, ..)) = event[event.len() - 1];
+        assert!(emitted > 0, "{name}: nothing emitted");
     }
 }
 
