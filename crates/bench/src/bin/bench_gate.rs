@@ -42,9 +42,6 @@ const KEY_THRESHOLDS: &[(&str, f64)] = &[
     // image's bytes (the pair records f32-bytes / quant-bytes >= 2.857).
     ("quant_rollout_act_over_f32", 1.2),
     ("quant_weights_frame_bytes", 2.857),
-    // Band→worker affinity pinning is a cache hint, not an algorithmic
-    // win: it must simply never lose to unpinned sharding (1-core waived).
-    ("band_pinned_over_unpinned", 1.0),
 ];
 
 /// Keys that are reported but never gated. The flat-vs-hierarchical fleet
@@ -59,11 +56,8 @@ const UNGATED_KEYS: &[&str] = &["fleet_mapper_query", "fleet_rollout_act"];
 /// on multi-core hosts, waived (like the `par_*` prefix) when the
 /// artifact was measured on a 1-core host — there a 2-thread pool shards
 /// without any cores to pay for it, so the ratio is meaningless.
-const MULTICORE_ONLY_KEYS: &[&str] = &[
-    "t_b_pack_gate_32x2001x64",
-    "async_over_lockstep_throughput",
-    "band_pinned_over_unpinned",
-];
+const MULTICORE_ONLY_KEYS: &[&str] =
+    &["t_b_pack_gate_32x2001x64", "async_over_lockstep_throughput"];
 
 fn main() -> ExitCode {
     let mut path = "BENCH_nn.json".to_string();
@@ -250,11 +244,7 @@ mod tests {
     fn quant_keys_carry_their_own_thresholds() {
         assert_eq!(threshold_for("quant_rollout_act_over_f32", 1.0), 1.2);
         assert_eq!(threshold_for("quant_weights_frame_bytes", 1.0), 2.857);
-        assert_eq!(threshold_for("band_pinned_over_unpinned", 0.5), 1.0);
-        // The affinity-hint pair needs real cores to mean anything; the
-        // quant pairs are serial-pinned and stay gated everywhere.
-        assert!(!is_gated("band_pinned_over_unpinned", 1));
-        assert!(is_gated("band_pinned_over_unpinned", 16));
+        // The quant pairs are serial-pinned and stay gated everywhere.
         assert!(is_gated("quant_rollout_act_over_f32", 1));
         assert!(is_gated("quant_weights_frame_bytes", 1));
     }

@@ -52,8 +52,7 @@ use std::time::Instant;
 
 use dss_core::{ControlConfig, Environment, ParallelCollector, Scenario, SchedState};
 use dss_nn::{
-    microkernel_name, mse_loss_grad, with_band_pinning, Activation, Adam, Elem, Matrix, Mlp,
-    Optimizer, Scalar,
+    microkernel_name, mse_loss_grad, Activation, Adam, Elem, Matrix, Mlp, Optimizer, Scalar,
 };
 use dss_rl::{
     ActScratch, ActionMapper, DdpgAgent, DdpgConfig, DqnAgent, DqnConfig, HierarchicalMapper,
@@ -136,19 +135,6 @@ fn main() {
             &format!("matmul_{m}x{k}x{n}_par"),
             with_pool(par.clone(), || {
                 bench_ns(budget_ms, || a.matmul_into(&b, &mut out))
-            }),
-        );
-        // Same parallel run with the stable band→worker pinning hint off:
-        // every band goes to whichever worker grabs it first, so a
-        // repeated same-shape product keeps migrating output rows across
-        // worker caches. The `band_pinned_over_unpinned` pair (128³ shape)
-        // gates the hint at ≥ 1.0× on multi-core hosts.
-        record(
-            &format!("matmul_{m}x{k}x{n}_par_unpinned"),
-            with_pool(par.clone(), || {
-                with_band_pinning(false, || {
-                    bench_ns(budget_ms, || a.matmul_into(&b, &mut out))
-                })
             }),
         );
         record(
@@ -1164,16 +1150,6 @@ const PAIRS: &[(&str, &str, &str)] = &[
         "quant_weights_frame_bytes",
         "policy_frame_bytes_f32",
         "policy_frame_bytes_quant",
-    ),
-    // Band pinning: the same parallel 128^3 product with the stable
-    // band→worker affinity hint on (default) vs off. Pinning keeps each
-    // output band's rows in one worker's cache across repetitions; it is
-    // a hint only (idle workers still steal), so the gate is >= 1.0x on
-    // multi-core hosts (1-core waived, like the other par-dependent keys).
-    (
-        "band_pinned_over_unpinned",
-        "matmul_128x128x128_par_unpinned",
-        "matmul_128x128x128_par",
     ),
 ];
 

@@ -1,25 +1,31 @@
 //! Shared harness for the figure-regeneration binaries.
 //!
-//! Every evaluation figure of the paper has a binary in `src/bin`
-//! (`fig6` ... `fig12`, `summary_table`, plus ablations); all share the
-//! CLI conventions implemented here:
+//! The paper's evaluation figures come from one binary in `src/bin`
+//! (`figures --fig 6|7|8|9|10|11|12|all`); `summary_table` and the
+//! ablations have their own. All share the CLI conventions implemented
+//! here:
 //!
 //! ```text
 //! --preset <paper|fast|test>   training budget (default: fast)
 //! --minutes <f64>              deployment-run length (default: the figure's)
 //! --out <dir>                  CSV output directory (default: results/)
 //! --seed <u64>                 master seed override
+//! --fig <6..12|all>            figures to regenerate (`figures` only)
 //! ```
 //!
 //! `fast` reproduces the paper's *shapes* in minutes; `paper` uses the
 //! paper's full sample/epoch budgets (10,000 offline samples, 1,500–2,000
 //! online epochs).
 
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
 use dss_core::ControlConfig;
 use dss_metrics::{CsvWriter, ExperimentRecord, ShapeCheck, TimeSeries};
 use dss_sim::ClusterSpec;
+
+/// The paper figures `--fig` can select.
+const FIGURES: RangeInclusive<u8> = 6..=12;
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone)]
@@ -32,6 +38,8 @@ pub struct RunOptions {
     pub out_dir: PathBuf,
     /// Preset name (for logging).
     pub preset: String,
+    /// Figures selected by `--fig`, ascending; empty when the flag is absent.
+    pub figs: Vec<u8>,
 }
 
 impl RunOptions {
@@ -44,6 +52,7 @@ impl RunOptions {
         let mut minutes = None;
         let mut out_dir = PathBuf::from("results");
         let mut seed = None;
+        let mut figs = Vec::new();
         let mut it = args.skip(1);
         while let Some(flag) = it.next() {
             match flag.as_str() {
@@ -65,7 +74,19 @@ impl RunOptions {
                             .expect("--seed must be an integer"),
                     )
                 }
-                other => panic!("unknown flag `{other}`; expected --preset/--minutes/--out/--seed"),
+                "--fig" => {
+                    let fig = it.next().expect("--fig needs a value");
+                    figs = match fig.as_str() {
+                        "all" => FIGURES.collect(),
+                        n => match n.parse() {
+                            Ok(n) if FIGURES.contains(&n) => vec![n],
+                            _ => panic!("unknown figure `{fig}` (6..12|all)"),
+                        },
+                    };
+                }
+                other => {
+                    panic!("unknown flag `{other}`; expected --preset/--minutes/--out/--seed/--fig")
+                }
             }
         }
         let mut config = match preset.as_str() {
@@ -82,6 +103,7 @@ impl RunOptions {
             minutes,
             out_dir,
             preset,
+            figs,
         }
     }
 
@@ -169,6 +191,7 @@ mod tests {
         );
         assert_eq!(o.minutes_or(20.0), 20.0);
         assert_eq!(o.cluster().n_machines(), 10);
+        assert!(o.figs.is_empty());
     }
 
     #[test]
@@ -181,6 +204,27 @@ mod tests {
         assert_eq!(o.config.seed, 9);
         assert_eq!(o.minutes_or(20.0), 5.0);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/x"));
+    }
+
+    #[test]
+    fn parses_figures() {
+        for n in 6..=12u8 {
+            assert_eq!(RunOptions::parse(args(&format!("--fig {n}"))).figs, [n]);
+        }
+        let all = RunOptions::parse(args("--preset test --fig all"));
+        assert_eq!(all.figs, [6, 7, 8, 9, 10, 11, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown figure `5`")]
+    fn rejects_figure_outside_the_paper() {
+        let _ = RunOptions::parse(args("--fig 5"));
+    }
+
+    #[test]
+    #[should_panic(expected = "--fig needs a value")]
+    fn rejects_fig_without_value() {
+        let _ = RunOptions::parse(args("--preset test --fig"));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! Online (Algorithm 1): at each decision epoch the scheduler proposes an
 //! assignment, the environment deploys and measures it, the reward is the
-//! negative average tuple processing time, and the transition is both
-//! stored in the [`TransitionStore`] and fed back to the scheduler.
+//! negative average tuple processing time, and the transition is fed back
+//! to the scheduler (a learning scheduler's replay buffer is what training
+//! samples from).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -19,7 +20,7 @@ use dss_rl::{Elem, Scalar, Transition};
 use dss_sim::{Assignment, RuntimeStats, Workload};
 
 use crate::config::ControlConfig;
-use crate::env::{Environment, StoredTransition, TransitionStore};
+use crate::env::Environment;
 use crate::reward::RewardScale;
 use crate::scheduler::{RandomMode, RandomScheduler, Scheduler};
 use crate::state::SchedState;
@@ -116,7 +117,6 @@ impl OfflineDataset {
 pub struct Controller {
     config: ControlConfig,
     reward: RewardScale,
-    store: TransitionStore,
 }
 
 impl Controller {
@@ -127,13 +127,7 @@ impl Controller {
                 per_ms: config.reward_per_ms,
             },
             config,
-            store: TransitionStore::new(),
         }
-    }
-
-    /// The framework's transition database.
-    pub fn store(&self) -> &TransitionStore {
-        &self.store
     }
 
     /// The reward scale in force.
@@ -238,12 +232,6 @@ impl Controller {
         let next_observed = workload.scaled(env.workload_multiplier());
         let next_state = SchedState::new(action.clone(), next_observed);
         scheduler.observe(&state, &action, r, &next_state);
-        self.store.push(StoredTransition {
-            state: state.features(self.config.rate_scale),
-            action: crate::state::onehot_elems(&action),
-            reward: r,
-            next_state: next_state.features(self.config.rate_scale),
-        });
         rewards.push(t as f64, r);
         action
     }
@@ -349,6 +337,5 @@ mod tests {
         assert_eq!(rewards.len(), 10);
         assert!(rewards.values().iter().all(|&r| r < 0.0));
         assert_eq!(fin.as_slice(), &[0, 1, 2, 0, 1, 2]);
-        assert_eq!(ctl.store().len(), 10);
     }
 }

@@ -1,4 +1,4 @@
-//! The environment the controller drives, and the transition "database".
+//! The environment the controller drives.
 //!
 //! [`Environment`] is the **backend seam** of the whole control stack:
 //! everything that trains or evaluates an agent — [`Controller`],
@@ -52,10 +52,8 @@
 //! [`Controller`]: crate::controller::Controller
 //! [`ParallelCollector`]: crate::parallel::ParallelCollector
 
-use parking_lot::RwLock;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,7 +63,6 @@ use dss_nimbus::{
     NimbusSet, RetryPolicy, ServeStep, StateView, StatsView, SupervisorSet,
 };
 use dss_proto::{ChannelTransport, ChaosPlan, ChaosStats, MaybeChaos, TcpTransport};
-use dss_rl::Elem;
 use dss_sim::{AnalyticModel, Assignment, RateSchedule, RuntimeStats, SimEngine, Workload};
 
 /// A DSDPS that can be scheduled and measured — the backend seam every
@@ -1246,61 +1243,6 @@ impl Environment for ClusterEnv {
     }
 }
 
-/// One stored transition row of the paper's database component. Feature
-/// and action rows are stored in the training element type ([`Elem`]);
-/// the scalar reward stays `f64` for reporting fidelity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredTransition {
-    /// State features at the decision epoch.
-    pub state: Vec<Elem>,
-    /// One-hot action encoding.
-    pub action: Vec<Elem>,
-    /// Reward.
-    pub reward: f64,
-    /// Next-state features.
-    pub next_state: Vec<Elem>,
-}
-
-/// The paper's "Database" box (Figure 1): stores transition samples for
-/// (re)training. Thread-safe so a trainer can read while a collector
-/// appends (the hot-swapping deployment mode).
-#[derive(Debug, Clone, Default)]
-pub struct TransitionStore {
-    inner: Arc<RwLock<Vec<StoredTransition>>>,
-}
-
-impl TransitionStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a transition.
-    pub fn push(&self, t: StoredTransition) {
-        self.inner.write().push(t);
-    }
-
-    /// Number of stored transitions.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// Snapshot of all transitions.
-    pub fn snapshot(&self) -> Vec<StoredTransition> {
-        self.inner.read().clone()
-    }
-
-    /// Drops everything (e.g. after an algorithm hot-swap).
-    pub fn clear(&self) {
-        self.inner.write().clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1789,22 +1731,5 @@ mod tests {
                 "post-failover epochs must heal: {ms:?}"
             );
         }
-    }
-
-    #[test]
-    fn store_push_snapshot_clear() {
-        let store = TransitionStore::new();
-        assert!(store.is_empty());
-        store.push(StoredTransition {
-            state: vec![1.0],
-            action: vec![0.0],
-            reward: -1.0,
-            next_state: vec![0.0],
-        });
-        let clone = store.clone(); // shares the same backing storage
-        assert_eq!(clone.len(), 1);
-        assert_eq!(store.snapshot()[0].reward, -1.0);
-        clone.clear();
-        assert!(store.is_empty());
     }
 }

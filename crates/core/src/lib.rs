@@ -56,9 +56,7 @@ pub mod state;
 pub use checkpoint::{CheckpointError, TrainCheckpoint};
 pub use config::ControlConfig;
 pub use controller::{Controller, OfflineDataset, RawSample};
-pub use env::{
-    AnalyticEnv, ClusterEnv, ClusterTransport, DegradedReason, Environment, SimEnv, TransitionStore,
-};
+pub use env::{AnalyticEnv, ClusterEnv, ClusterTransport, DegradedReason, Environment, SimEnv};
 pub use experiment::{train_method_durable, DurableOptions, DurableRun};
 pub use parallel::{Actor, ActorSetup, ParallelCollector, RoundPlan};
 pub use reward::RewardScale;

@@ -1,7 +1,6 @@
-//! Brute-force enumeration over all `M^N` actions — the ground-truth oracle
-//! the exact solvers are validated against in tests. Guarded against use on
-//! anything large. Tests also get the sorted K-best fold, the bit-exact
-//! oracle of [`crate::kbest`].
+//! Test oracles for [`crate::kbest`]: brute-force enumeration over all
+//! `M^N` actions (guarded against use on anything large), and the sorted
+//! K-best fold, the bit-exact oracle.
 
 use crate::cost::CostMatrix;
 use crate::{Scalar, Solution};
@@ -12,7 +11,7 @@ use crate::{Scalar, Solution};
 /// # Panics
 /// Panics when `M^N > 1_000_000` (this is a test oracle, not a solver) or
 /// `k == 0`.
-pub fn brute_force_k_best<S: Scalar>(costs: &CostMatrix<S>, k: usize) -> Vec<Solution<S>> {
+pub(crate) fn brute_force_k_best<S: Scalar>(costs: &CostMatrix<S>, k: usize) -> Vec<Solution<S>> {
     assert!(k > 0, "k must be positive");
     let space = (costs.m() as f64).powi(costs.n() as i32);
     assert!(
@@ -53,7 +52,6 @@ pub fn brute_force_k_best<S: Scalar>(costs: &CostMatrix<S>, k: usize) -> Vec<Sol
 /// row fully sorted, every surviving prefix copied, a binary heap over the
 /// merge frontier — kept as the exact oracle
 /// [`crate::kbest::k_best_assignments`] must reproduce bit for bit.
-#[cfg(test)]
 pub(crate) fn sorted_fold_k_best<S: Scalar>(costs: &CostMatrix<S>, k: usize) -> Vec<Solution<S>> {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -162,27 +160,6 @@ mod tests {
                 // by rank.
                 prop_assert!((f.cost - s.cost).abs() < 1e-9,
                     "rank cost mismatch: {} vs {}", f.cost, s.cost);
-            }
-        }
-
-        /// Capacitated B&B with slack capacities equals the unconstrained
-        /// brute force.
-        #[test]
-        fn bnb_matches_brute_force_when_uncapacitated(
-            n in 1usize..4,
-            m in 2usize..4,
-            seed in 0u64..500,
-        ) {
-            use rand::{RngExt, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let proto: Vec<f64> = (0..n * m).map(|_| rng.random_range(0.0..1.0)).collect();
-            let costs = CostMatrix::from_proto_action(&proto, n, m);
-            let caps = vec![n; m];
-            let a = crate::bnb::solve_capacitated(&costs, &caps, 5);
-            let b = brute_force_k_best(&costs, 5);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert!((x.cost - y.cost).abs() < 1e-9);
             }
         }
     }

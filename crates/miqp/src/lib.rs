@@ -25,25 +25,22 @@
 //!   follows the deviations from the per-row optimum: `O(N·M + N·K)` per
 //!   query plus `O(M + K·min(K, M))` for each row where a deviation can
 //!   still enter the K best;
-//! * [`bnb`] — exact best-first branch-and-bound that also supports
-//!   per-machine **capacity constraints** (an extension beyond the paper);
 //! * [`relax`] — the paper's fallback for very large cases: continuous
 //!   relaxation (per-row Euclidean projection onto the simplex) plus
-//!   randomized rounding;
-//! * [`exhaustive`] — brute force over all `M^N` actions, for validation.
+//!   randomized rounding.
+//!
+//! Tests validate [`kbest`] against brute force over all `M^N` actions.
 //!
 //! All solvers consume a [`CostMatrix`]; [`CostMatrix::from_proto_action`]
 //! builds one from a flattened proto-action.
 
-pub mod bnb;
 pub mod cost;
-pub mod exhaustive;
+#[cfg(test)]
+mod exhaustive;
 pub mod kbest;
 pub mod relax;
 
-pub use bnb::solve_capacitated;
 pub use cost::CostMatrix;
-pub use exhaustive::brute_force_k_best;
 pub use kbest::{k_best_assignments, k_best_assignments_into, KBestWorkspace};
 pub use relax::{project_row_simplex, relax_and_round};
 

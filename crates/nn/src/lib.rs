@@ -81,7 +81,7 @@ pub mod serialize;
 pub use activation::Activation;
 pub use layer::Dense;
 pub use loss::{mse_loss, mse_loss_grad};
-pub use matrix::{with_band_pinning, Matrix};
+pub use matrix::Matrix;
 pub use mlp::{InferScratch, Mlp};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use quant::{QuantLinear, QuantMode, QuantVecMeta, QuantWeights};

@@ -62,7 +62,6 @@
 //! cutoff, and check the AVX2 and scalar microkernels against each other
 //! bit for bit.
 
-use std::cell::Cell;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -70,32 +69,6 @@ use crate::activation::Activation;
 use crate::scalar::{active_microkernel, Elem, Microkernel, Scalar, MR, WMR};
 
 pub use crate::scalar::{avx2_available, microkernel_name, with_microkernel};
-
-thread_local! {
-    /// Whether the parallel GEMM paths pin output bands to stable worker
-    /// slots (see [`with_band_pinning`]). Defaults to on.
-    static BAND_PINNING: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Runs `f` with thread-affine band pinning in the parallel GEMM paths
-/// toggled for the current thread (restored on exit). Pinning is on by
-/// default: band `i` of a sharded product is queued on worker slot `i`
-/// every time, so repeated same-shape products within a training step
-/// land the same output rows on the same worker and reuse its cache
-/// lines. The bench harness runs its "before" leg with pinning off; the
-/// toggle is an affinity hint only — results are bit-identical either
-/// way, and idle workers still steal.
-pub fn with_band_pinning<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let prev = BAND_PINNING.with(|c| c.replace(on));
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BAND_PINNING.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
 
 /// Products below this many multiply-adds (`m·k·n`) stay on the serial
 /// path: the paper's per-layer products at `H = 32` (32·64·32 ≈ 65k) are
@@ -700,32 +673,22 @@ fn gemm_parallel<S: Scalar>(
 ) {
     let bands = pool.threads().min(m.div_ceil(MR)).max(1);
     let rows_per = m.div_ceil(bands).div_ceil(MR) * MR;
-    let pin = BAND_PINNING.with(Cell::get);
     pool.scope(|s| {
         let mut a_rest = a;
         let mut out_rest = &mut *out;
         let mut i = 0;
-        let mut band = 0;
         while i < m {
             let take = rows_per.min(m - i);
             let (a_band, a_tail) = a_rest.split_at(take * k);
             let (o_band, o_tail) = out_rest.split_at_mut(take * n);
             a_rest = a_tail;
             out_rest = o_tail;
-            let job = move || {
+            s.spawn(move || {
                 gemm_stream(a_band, take, k, b, n, o_band, accumulate);
                 if let Some((bias, act)) = epilogue {
                     apply_epilogue(o_band, n, bias, act);
                 }
-            };
-            if pin {
-                // Stable band→worker slot: same output rows, same worker
-                // cache, every repetition of this shape.
-                s.spawn_at(band, job);
-            } else {
-                s.spawn(job);
-            }
-            band += 1;
+            });
             i += take;
         }
     });
@@ -783,23 +746,15 @@ fn at_bands<S: Scalar>(
 ) {
     let bands = pool.threads().min(p.div_ceil(MR)).max(1);
     let rows_per = p.div_ceil(bands).div_ceil(MR) * MR;
-    let pin = BAND_PINNING.with(Cell::get);
     let job = &job;
     pool.scope(|s| {
         let mut out_rest = &mut *out;
         let mut q = 0;
-        let mut band = 0;
         while q < p {
             let take = rows_per.min(p - q);
             let (o_band, o_tail) = out_rest.split_at_mut(take * width);
             out_rest = o_tail;
-            let task = move || job(q, q + take, o_band);
-            if pin {
-                s.spawn_at(band, task);
-            } else {
-                s.spawn(task);
-            }
-            band += 1;
+            s.spawn(move || job(q, q + take, o_band));
             q += take;
         }
     });

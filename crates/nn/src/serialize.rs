@@ -93,6 +93,10 @@ pub fn decode_mlp<S: Scalar>(mut bytes: &[u8]) -> Result<Mlp<S>, DecodeError> {
     if n_layers == 0 {
         return Err(DecodeError::BadShape);
     }
+    // The smallest layer is a 9-byte header plus one weight and one bias.
+    if bytes.remaining() < n_layers * (9 + 16) {
+        return Err(DecodeError::Truncated);
+    }
     let mut layers = Vec::with_capacity(n_layers);
     for _ in 0..n_layers {
         if bytes.remaining() < 9 {
@@ -106,8 +110,14 @@ pub fn decode_mlp<S: Scalar>(mut bytes: &[u8]) -> Result<Mlp<S>, DecodeError> {
         if input == 0 || output == 0 {
             return Err(DecodeError::BadShape);
         }
-        let n_w = input * output;
-        if bytes.remaining() < (n_w + output) * 8 {
+        // Checked: a 32-bit header can describe more bytes than `usize`
+        // holds, and a wrapped size would pass the bound check below.
+        let n_w = input.checked_mul(output).ok_or(DecodeError::BadShape)?;
+        let size = n_w
+            .checked_add(output)
+            .and_then(|n| n.checked_mul(8))
+            .ok_or(DecodeError::BadShape)?;
+        if bytes.remaining() < size {
             return Err(DecodeError::Truncated);
         }
         let mut w = Vec::with_capacity(n_w);
@@ -196,6 +206,20 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn rejects_a_layer_header_whose_size_overflows() {
+        // (u32::MAX · 2^29 + 2^29) · 8 wraps to 0 in 64-bit arithmetic.
+        let mut bytes = b"DSSN\x01\x00\x01\x00".to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&(1u32 << 29).to_le_bytes());
+        bytes.push(Activation::Tanh.tag());
+        bytes.extend_from_slice(&[0; 16]);
+        assert_eq!(
+            decode_mlp::<f64>(&bytes).unwrap_err(),
+            DecodeError::BadShape
+        );
     }
 
     #[test]

@@ -381,11 +381,12 @@ impl<S: Scalar> DdpgAgent<S> {
         let critic: Mlp<S> = r.net()?;
         let target_actor: Mlp<S> = r.net()?;
         let target_critic: Mlp<S> = r.net()?;
-        let shapes_ok = actor.layers().first().map(|l| l.input_size()) == Some(state_dim)
-            && actor.layers().last().map(|l| l.output_size()) == Some(action_dim)
-            && critic.layers().first().map(|l| l.input_size()) == Some(state_dim + action_dim)
-            && target_actor.param_count() == actor.param_count()
-            && target_critic.param_count() == critic.param_count();
+        let shapes_ok = actor.input_size() == state_dim
+            && actor.output_size() == action_dim
+            && critic.input_size() == state_dim + action_dim
+            && critic.output_size() == 1
+            && snapshot::same_layers(&target_actor, &actor)
+            && snapshot::same_layers(&target_critic, &critic);
         if !shapes_ok {
             return Err(SnapshotError::BadStructure("network shape mismatch"));
         }
@@ -445,10 +446,8 @@ impl<S: Scalar> DdpgAgent<S> {
         let actor: Mlp<S> = r.net()?;
         let critic: Mlp<S> = r.net()?;
         r.done()?;
-        if actor.param_count() != self.actor.param_count()
-            || critic.param_count() != self.critic.param_count()
-            || actor.layers().len() != self.actor.layers().len()
-            || critic.layers().len() != self.critic.layers().len()
+        if !snapshot::same_layers(&actor, &self.actor)
+            || !snapshot::same_layers(&critic, &self.critic)
         {
             return Err(SnapshotError::BadStructure("policy network shape"));
         }
@@ -1635,6 +1634,55 @@ mod tests {
         let mut mapper = KBestMapper::new(2, 2);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(agent.train_step(&mut mapper, &mut rng), None);
+    }
+
+    /// A 3-state, 2-action agent whose actor is 3→4→4→2: 46 parameters,
+    /// as many as 3→5→3→2.
+    fn agent_3x2() -> DdpgAgent {
+        let mut config = toy_config();
+        config.hidden = [4, 4];
+        DdpgAgent::new(3, 2, config)
+    }
+
+    /// A network with `sizes`, tanh hidden layers and `out` at the output.
+    fn net(sizes: &[usize], out: Activation) -> Mlp {
+        Mlp::new(sizes, &[Activation::Tanh, Activation::Tanh, out], 17)
+    }
+
+    #[test]
+    fn apply_policy_compares_layers_not_parameter_counts() {
+        // The frame used to pass the parameter-count check and panic in
+        // the parameter copy.
+        let mut replica = agent_3x2();
+        let mut donor = agent_3x2();
+        donor.actor = net(&[3, 5, 3, 2], Activation::Sigmoid);
+        assert_eq!(donor.actor.param_count(), replica.actor.param_count());
+        let before = replica.save_policy();
+        assert!(matches!(
+            replica.apply_policy(&donor.save_policy()),
+            Err(SnapshotError::BadStructure(_))
+        ));
+        assert_eq!(replica.save_policy(), before, "agent modified on error");
+    }
+
+    #[test]
+    fn restore_state_checks_target_layers_and_critic_width() {
+        // A target actor with the actor's parameter count, other layers.
+        let mut agent = agent_3x2();
+        agent.target_actor = net(&[3, 5, 3, 2], Activation::Sigmoid);
+        assert!(matches!(
+            DdpgAgent::<Elem>::restore_state(&agent.save_state()),
+            Err(SnapshotError::BadStructure(_))
+        ));
+        // A two-output critic (and its matching target) is not a Q-network.
+        let mut agent = agent_3x2();
+        agent.critic = net(&[5, 4, 4, 2], Activation::Identity);
+        agent.target_critic = agent.critic.clone();
+        assert!(matches!(
+            DdpgAgent::<Elem>::restore_state(&agent.save_state()),
+            Err(SnapshotError::BadStructure(_))
+        ));
+        assert!(DdpgAgent::<Elem>::restore_state(&agent_3x2().save_state()).is_ok());
     }
 
     #[test]

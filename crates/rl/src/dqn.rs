@@ -200,9 +200,9 @@ impl<S: Scalar> DqnAgent<S> {
         let train_steps = r.u64()?;
         let q: Mlp<S> = r.net()?;
         let target_q: Mlp<S> = r.net()?;
-        let shapes_ok = q.layers().first().map(|l| l.input_size()) == Some(state_dim)
-            && q.layers().last().map(|l| l.output_size()) == Some(n_actions)
-            && target_q.param_count() == q.param_count();
+        let shapes_ok = q.input_size() == state_dim
+            && q.output_size() == n_actions
+            && snapshot::same_layers(&target_q, &q);
         if !shapes_ok {
             return Err(SnapshotError::BadStructure("network shape mismatch"));
         }
@@ -550,6 +550,26 @@ mod tests {
             phases.iter().any(|&p| p != 0),
             "no snapshot between syncs: {phases:?}"
         );
+    }
+
+    #[test]
+    fn restore_state_compares_target_layers_not_parameter_counts() {
+        use crate::snapshot::SnapshotError;
+        // 3→4→4→6 and 3→6→6 both hold 66 parameters.
+        let mut agent: DqnAgent = DqnAgent::new(
+            3,
+            6,
+            DqnConfig {
+                hidden: [4, 4],
+                ..config()
+            },
+        );
+        agent.target_q = Mlp::new(&[3, 6, 6], &[Activation::Tanh, Activation::Identity], 1);
+        assert_eq!(agent.target_q.param_count(), agent.q.param_count());
+        assert!(matches!(
+            DqnAgent::<Elem>::restore_state(&agent.save_state()),
+            Err(SnapshotError::BadStructure(_))
+        ));
     }
 
     #[test]

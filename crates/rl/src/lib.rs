@@ -22,7 +22,6 @@ pub mod ddpg;
 pub mod dqn;
 pub mod explore;
 pub mod mapper;
-pub mod priority;
 pub mod quant;
 pub mod replay;
 pub mod snapshot;
@@ -34,7 +33,6 @@ pub use explore::{EpsilonSchedule, OuNoise};
 pub use mapper::{
     ActionMapper, CandidateAction, HierarchicalMapper, KBestMapper, RelaxMapper, ScalableMapper,
 };
-pub use priority::{PrioritizedReplay, PrioritizedSample, PriorityConfig, SumTree};
 pub use quant::{QuantActScratch, QuantPolicy};
 pub use replay::{ReplayBuffer, ShardSlot, ShardedReplayBuffer};
 pub use snapshot::SnapshotError;

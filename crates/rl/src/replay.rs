@@ -138,7 +138,9 @@ impl<A: Clone, S: Scalar> ReplayBuffer<A, S> {
 
     /// Rebuilds a buffer from ring internals captured by
     /// [`ReplayBuffer::ring`]. The restored buffer's sampling and eviction
-    /// behaviour continues the original's bit-for-bit.
+    /// behaviour continues the original's bit-for-bit. Storage holds just
+    /// the given slots (a partly filled ring grows as it fills), so a
+    /// corrupt `capacity` cannot reserve memory the slots do not justify.
     ///
     /// # Panics
     /// Panics on an inconsistent image: zero capacity, more slots than
@@ -152,10 +154,8 @@ impl<A: Clone, S: Scalar> ReplayBuffer<A, S> {
         } else {
             assert!(head < capacity, "head outside the ring");
         }
-        let mut buf = Vec::with_capacity(capacity);
-        buf.extend(slots);
         Self {
-            buf,
+            buf: slots,
             capacity,
             head,
         }

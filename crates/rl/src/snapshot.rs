@@ -294,6 +294,18 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Whether `a` and `b` have the same depth and the same `(input, output)`
+/// widths layer by layer — what copying parameters between them needs.
+/// Equal parameter counts are not enough: 3→5→3→2 and 3→4→4→2 both hold
+/// 46.
+pub(crate) fn same_layers<S: Scalar>(a: &Mlp<S>, b: &Mlp<S>) -> bool {
+    a.layers().len() == b.layers().len()
+        && a.layers()
+            .iter()
+            .zip(b.layers())
+            .all(|(x, y)| (x.input_size(), x.output_size()) == (y.input_size(), y.output_size()))
+}
+
 /// Serializes a replay ring (slot order + head) with `action` rows encoded
 /// by `put_action`.
 pub(crate) fn put_replay<A: Clone, S: Scalar>(

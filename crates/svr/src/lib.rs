@@ -9,21 +9,14 @@
 //!
 //! * [`LinearSvr`] — ε-insensitive linear SVR trained by subgradient
 //!   descent on the primal (Drucker et al., NIPS 1996 formulation);
-//! * [`RffSvr`] — RBF-kernel SVR approximated with Random Fourier Features
-//!   (Rahimi & Recht), i.e. a linear SVR on randomized cosine features,
-//!   keeping training O(samples · features) without a QP solver;
 //! * [`StandardScaler`] — feature standardization, fitted on training data.
 //!
 //! The composition of per-component predictions into an end-to-end estimate
 //! lives in `dss-core::scheduler::model_based`, next to the search that
 //! uses it.
 
-pub mod kernel;
 pub mod linear;
-pub mod rff;
 pub mod scaler;
 
-pub use kernel::rbf_kernel;
 pub use linear::{LinearSvr, SvrConfig};
-pub use rff::RffSvr;
 pub use scaler::StandardScaler;

@@ -46,5 +46,5 @@ fn main() {
             outcome.solution.machines_used()
         );
     }
-    println!("\n(figure-quality runs: cargo run --release -p dss-bench --bin fig6)");
+    println!("\n(figure-quality runs: cargo run --release -p dss-bench --bin figures -- --fig 6)");
 }

@@ -56,5 +56,7 @@ fn main() {
         stats.machine_cpu_cores.iter().cloned().fold(0.0, f64::max),
         stats.machine_cross_kib_s.iter().sum::<f64>()
     );
-    println!("\n(figure-quality comparison: cargo run --release -p dss-bench --bin fig8)");
+    println!(
+        "\n(figure-quality comparison: cargo run --release -p dss-bench --bin figures -- --fig 8)"
+    );
 }

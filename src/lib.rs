@@ -8,8 +8,8 @@
 //!
 //! * [`sim`] — the Storm-like DSDPS discrete-event simulator,
 //! * [`nn`] — the dense neural network substrate,
-//! * [`rl`] — replay buffer, DQN and DDPG-style actor-critic, prioritized
-//!   replay and exploration-noise processes,
+//! * [`rl`] — replay buffer, DQN and DDPG-style actor-critic, and
+//!   exploration-noise processes,
 //! * [`miqp`] — the MIQP-NN nearest-neighbour action solvers,
 //! * [`svr`] — support-vector regression (model-based baseline),
 //! * [`apps`] — the paper's three stream applications,
