@@ -42,6 +42,11 @@ const KEY_THRESHOLDS: &[(&str, f64)] = &[
     // image's bytes (the pair records f32-bytes / quant-bytes >= 2.857).
     ("quant_rollout_act_over_f32", 1.2),
     ("quant_weights_frame_bytes", 2.857),
+    // The activation row kernel against the per-element libm loop on a
+    // 32 x 1000 batch: the SIMD tanh / sigmoid must keep their margin
+    // (about 10x / 7x on an AVX-512 host).
+    ("act_tanh_f32_over_libm", 3.0),
+    ("act_sigmoid_f32_over_libm", 2.0),
 ];
 
 /// Keys that are reported but never gated. The flat-vs-hierarchical fleet
@@ -247,6 +252,14 @@ mod tests {
         // The quant pairs are serial-pinned and stay gated everywhere.
         assert!(is_gated("quant_rollout_act_over_f32", 1));
         assert!(is_gated("quant_weights_frame_bytes", 1));
+    }
+
+    #[test]
+    fn activation_keys_carry_their_own_thresholds() {
+        assert_eq!(threshold_for("act_tanh_f32_over_libm", 1.0), 3.0);
+        assert_eq!(threshold_for("act_sigmoid_f32_over_libm", 1.0), 2.0);
+        assert!(is_gated("act_tanh_f32_over_libm", 1));
+        assert!(is_gated("act_sigmoid_f32_over_libm", 1));
     }
 
     #[test]

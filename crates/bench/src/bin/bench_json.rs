@@ -258,6 +258,54 @@ fn main() {
         with_pool(serial.clone(), || act_path_probe::<f64>(budget_ms)),
     );
 
+    // ---- activation row kernel vs per-element libm -------------------
+    // A 32 × 1000 pre-activation batch plus a 1000-wide bias, refreshed
+    // from the same source before every pass: `act(v + b)` element by
+    // element through the host libm (`f32::tanh`, `1/(1+f32::exp(−z))`)
+    // against `Activation::apply_row` (the AVX-512 / AVX2 kernels, or the
+    // scalar port). Gated in `bench_gate` at >= 3.0x (tanh) and >= 2.0x
+    // (sigmoid).
+    {
+        const ROWS: usize = 32;
+        const COLS: usize = 1000;
+        let mut rng = StdRng::seed_from_u64(11);
+        let src: Vec<f32> = (0..ROWS * COLS)
+            .map(|_| rng.random_range(-4.0..4.0))
+            .collect();
+        let bias: Vec<f32> = (0..COLS).map(|_| rng.random_range(-0.5..0.5)).collect();
+        let mut work = src.clone();
+        let libm: [fn(f32) -> f32; 2] = [f32::tanh, |z| 1.0 / (1.0 + (-z).exp())];
+        let acts = [("tanh", Activation::Tanh), ("sigmoid", Activation::Sigmoid)];
+        for ((name, act), f) in acts.into_iter().zip(libm) {
+            record(
+                &format!("act_{name}_f32_libm"),
+                with_pool(serial.clone(), || {
+                    bench_ns(budget_ms, || {
+                        work.copy_from_slice(&src);
+                        for row in work.chunks_exact_mut(COLS) {
+                            for (v, &b) in row.iter_mut().zip(&bias) {
+                                *v = f(*v + b);
+                            }
+                        }
+                        std::hint::black_box(&mut work);
+                    })
+                }),
+            );
+            record(
+                &format!("act_{name}_f32_row"),
+                with_pool(serial.clone(), || {
+                    bench_ns(budget_ms, || {
+                        work.copy_from_slice(&src);
+                        for row in work.chunks_exact_mut(COLS) {
+                            act.apply_row(row, &bias);
+                        }
+                        std::hint::black_box(&mut work);
+                    })
+                }),
+            );
+        }
+    }
+
     // ---- quantized rollout act path + policy frame bytes ----------------
     // The same decision as `rollout_act_f32`, run through the rollout
     // quantization profile (`DdpgAgent::rollout_quant_policy`): exact-f32
@@ -1134,6 +1182,18 @@ const PAIRS: &[(&str, &str, &str)] = &[
         "async_over_lockstep_throughput",
         "lockstep_ns_per_transition",
         "async_ns_per_transition",
+    ),
+    // Activation row kernel over the per-element libm loop on a 32 × 1000
+    // batch plus bias: gated >= 3.0x (tanh) and >= 2.0x (sigmoid).
+    (
+        "act_tanh_f32_over_libm",
+        "act_tanh_f32_libm",
+        "act_tanh_f32_row",
+    ),
+    (
+        "act_sigmoid_f32_over_libm",
+        "act_sigmoid_f32_libm",
+        "act_sigmoid_f32_row",
     ),
     // Quantized rollout pairs. The act pair runs the identical decision
     // (same seed, state, mapper, eps) through the rollout quantization

@@ -216,7 +216,7 @@ impl<S: Scalar> Dense<S> {
             let acc = output.row_mut(r);
             acc.fill(S::ZERO);
             accumulate_pack_rows(&self.pack, pairs, acc);
-            finish(acc, &self.b, self.activation);
+            self.activation.apply_row(acc, &self.b);
         }
         self.scratch.live = true;
         self.scratch.grad_live = false;
@@ -411,8 +411,9 @@ impl<S: Scalar> Dense<S> {
             for (&xv, &wv) in x.iter().zip(row) {
                 acc = xv.mul_add(wv, acc);
             }
-            out.push(self.activation.apply(acc + self.b[o]));
+            out.push(acc);
         }
+        self.activation.apply_row(out, &self.b);
     }
 
     /// Partial pre-activation accumulate over a subset of input
@@ -483,14 +484,13 @@ impl<S: Scalar> Dense<S> {
     }
 
     /// Applies the layer epilogue to an accumulated pre-activation row in
-    /// place: `acc[o] = act(acc[o] + b[o])` — the same per-element form
+    /// place: `acc[o] = act(acc[o] + b[o])` — the activation row kernel
     /// the fused GEMM epilogue uses.
     ///
     /// # Panics
     /// Panics when `acc` is not `output_size` wide.
     pub fn finish_row(&self, acc: &mut [S]) {
-        assert_eq!(acc.len(), self.output_size(), "accumulator width");
-        finish(acc, &self.b, self.activation);
+        self.activation.apply_row(acc, &self.b);
     }
 
     /// Backward pass: given `dL/da` (`batch × out`), accumulates `dL/dW`
@@ -716,13 +716,6 @@ fn accumulate_pack_rows<S: Scalar>(pack: &SupportPack<S>, pairs: &[(usize, S)], 
         for (a, &wv) in tail.iter_mut().zip(w) {
             *a = v.mul_add(wv, *a);
         }
-    }
-}
-
-/// `acc[o] = act(acc[o] + b[o])` — the fused GEMM epilogue's form.
-fn finish<S: Scalar>(acc: &mut [S], b: &[S], act: Activation) {
-    for (a, &b) in acc.iter_mut().zip(b) {
-        *a = act.apply(*a + b);
     }
 }
 

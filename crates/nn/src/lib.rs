@@ -11,8 +11,10 @@
 //! Everything those networks need is implemented here with no external
 //! numerics: row-major [`Matrix`] ops over blocked, register-tiled GEMM
 //! kernels with explicit AVX2+FMA microkernels (see [`matrix`] and
-//! [`scalar`] for the scheme), manual backpropagation through [`Mlp`]
-//! with persistent per-layer scratch (zero heap allocations per training
+//! [`scalar`] for the scheme), activations through one row kernel whose
+//! AVX-512 / AVX2 tanh and sigmoid reproduce glibc's `tanhf` and `expf`
+//! bit for bit (see [`activation`]), manual backpropagation through
+//! [`Mlp`] with persistent per-layer scratch (zero heap allocations per training
 //! step once shapes are warm), Xavier initialization, SGD and Adam
 //! optimizers, MSE loss, target network soft updates
 //! (`θ' := τθ + (1−τ)θ'`), **input gradients** (`∇_a Q(s, a)` for the

@@ -565,28 +565,14 @@ pub(crate) fn transpose_cols_into<S: Scalar>(
     }
 }
 
-/// Optional fused epilogue: broadcast bias plus the activation *enum*.
-/// Carrying the enum (rather than a closure or `dyn Fn`) lets
-/// [`apply_epilogue`] match once per band and run a monomorphized loop
-/// per variant — the `dyn Fn` epilogue this replaces cost ~15% of
-/// `dqn_train_step` in per-element indirect calls.
+/// Optional fused epilogue: broadcast bias plus the activation.
 type Epilogue<'a, S> = Option<(&'a [S], Activation)>;
 
-/// Applies the fused epilogue to a band of rows (`band.len() = rows·n`):
-/// one `match` on the activation, then a tight statically-dispatched loop.
+/// Applies the fused epilogue to a band of rows (`band.len() = rows·n`)
+/// through the activation row kernel.
 fn apply_epilogue<S: Scalar>(band: &mut [S], n: usize, bias: &[S], act: Activation) {
-    fn sweep<S: Scalar>(band: &mut [S], n: usize, bias: &[S], f: impl Fn(S) -> S) {
-        for row in band.chunks_exact_mut(n) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v = f(*v + b);
-            }
-        }
-    }
-    match act {
-        Activation::Tanh => sweep(band, n, bias, |v: S| v.tanh()),
-        Activation::Sigmoid => sweep(band, n, bias, crate::activation::sigmoid::<S>),
-        Activation::Relu => sweep(band, n, bias, |v: S| v.max(S::ZERO)),
-        Activation::Identity => sweep(band, n, bias, |v| v),
+    for row in band.chunks_exact_mut(n) {
+        act.apply_row(row, bias);
     }
 }
 

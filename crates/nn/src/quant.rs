@@ -538,29 +538,29 @@ impl QuantLinear {
                     let dq = dot_i8(row, qx);
                     let corr =
                         dq - zero[o] * meta.sum - meta.zero * row_sum[o] + k * zero[o] * meta.zero;
-                    let pre = scale[o] * meta.scale * corr as f32 + self.bias[o];
-                    out.push(self.activation.apply(pre));
+                    out.push(scale[o] * meta.scale * corr as f32);
                 }
             }
             QuantWeights::Bf16 { w } => {
                 for o in 0..self.out_dim {
                     let row = &w[o * self.in_dim..(o + 1) * self.in_dim];
-                    out.push(self.activation.apply(dot_bf16(row, x) + self.bias[o]));
+                    out.push(dot_bf16(row, x));
                 }
             }
             QuantWeights::F32 { w } => {
                 // Dense::infer_row_into, verbatim: one serial ascending
-                // mul_add chain per output, epilogue act(acc + b).
+                // mul_add chain per output, then the epilogue.
                 for o in 0..self.out_dim {
                     let row = &w[o * self.in_dim..(o + 1) * self.in_dim];
                     let mut acc = 0.0f32;
                     for (&xv, &wv) in x.iter().zip(row) {
                         acc = xv.mul_add(wv, acc);
                     }
-                    out.push(self.activation.apply(acc + self.bias[o]));
+                    out.push(acc);
                 }
             }
         }
+        self.activation.apply_row(out, &self.bias);
     }
 
     /// Sparse pre-activation, the quantized twin of
@@ -675,10 +675,7 @@ impl QuantLinear {
     /// # Panics
     /// Panics when `acc` is not `output_size` wide.
     pub fn finish_row(&self, acc: &mut [f32]) {
-        assert_eq!(acc.len(), self.out_dim, "accumulator width");
-        for (a, &b) in acc.iter_mut().zip(&self.bias) {
-            *a = self.activation.apply(*a + b);
-        }
+        self.activation.apply_row(acc, &self.bias);
     }
 
     /// Compressed weight payload size in bytes (weights only, excluding

@@ -44,6 +44,14 @@
 //!   element, which is why even the wide AVX-512 tile matches the scalar
 //!   kernel bit for bit.
 //!
+//! The same choice dispatches the **activation row kernel**
+//! ([`crate::activation`], `row[o] = act(row[o] + bias[o])` after every
+//! GEMM epilogue and single-row inference): f32 tanh and sigmoid run 16
+//! lanes per step under `avx512f`, 8 under `avx2_fma`, and the scalar
+//! port under `neon` and `scalar`. All three are this crate's ports of
+//! glibc 2.36's `tanhf` / `expf`, bit-identical to each other and to
+//! glibc on every f32 input.
+//!
 //! The kernel is picked once per process (first GEMM call) from CPU
 //! features and the `DSS_NO_SIMD` environment variable; tests and
 //! benches can pin a kernel for the current thread with
@@ -51,6 +59,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::activation::Activation;
 
 /// Register tile height shared by every kernel: `A` rows advanced
 /// together, each broadcast against the same `B` stripe.
@@ -94,6 +104,16 @@ impl Microkernel {
             Microkernel::Avx512 => "avx512f",
             Microkernel::Neon => "neon",
             Microkernel::Scalar => "scalar",
+        }
+    }
+
+    /// Whether this build and host can run the kernel.
+    pub fn available(self) -> bool {
+        match self {
+            Microkernel::Avx2Fma => avx2_available(),
+            Microkernel::Avx512 => avx512_available(),
+            Microkernel::Neon => neon_available(),
+            Microkernel::Scalar => true,
         }
     }
 }
@@ -199,13 +219,11 @@ pub fn neon_available() -> bool {
 /// # Panics
 /// Panics when `k` is a SIMD kernel this host cannot run.
 pub fn with_microkernel<R>(k: Microkernel, f: impl FnOnce() -> R) -> R {
-    let available = match k {
-        Microkernel::Avx2Fma => avx2_available(),
-        Microkernel::Avx512 => avx512_available(),
-        Microkernel::Neon => neon_available(),
-        Microkernel::Scalar => true,
-    };
-    assert!(available, "{} kernel unavailable on this host", k.name());
+    assert!(
+        k.available(),
+        "{} kernel unavailable on this host",
+        k.name()
+    );
     let prev = KERNEL_OVERRIDE.with(|c| c.replace(Some(k)));
     struct Restore(Option<Microkernel>);
     impl Drop for Restore {
@@ -270,9 +288,10 @@ pub trait Scalar:
     fn sqrt(self) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent (f32: this crate's port of glibc's `tanhf`,
+    /// see [`crate::activation`]; f64: the host libm).
     fn tanh(self) -> Self;
-    /// Exponential.
+    /// Exponential (f32: the port of glibc's `expf`; f64: the host libm).
     fn exp(self) -> Self;
     /// IEEE maximum of two values.
     fn max(self, other: Self) -> Self;
@@ -282,6 +301,11 @@ pub trait Scalar:
     fn is_nan(self) -> bool;
     /// Finiteness check.
     fn is_finite(self) -> bool;
+
+    /// The activation row kernel behind [`Activation::apply_row`]:
+    /// `row[o] = act(row[o] + bias[o])`, f32 tanh and sigmoid at SIMD
+    /// width under the active microkernel.
+    fn act_row(act: Activation, row: &mut [Self], bias: &[Self]);
 
     /// Takes this thread's pack scratch buffer for transposed GEMM
     /// operands (moved out so a helping caller re-entering the kernel on
@@ -347,6 +371,7 @@ pub trait Scalar:
 macro_rules! impl_scalar {
     (
         $t:ty, $name:literal, $tj:literal, $pack:ident, $kern:ident,
+        $tanh:path, $exp:path, $act_row:path,
         $vec:ident, $lanes:literal, $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident, $add:ident, $setzero:ident,
         $loadu512:ident, $storeu512:ident, $set1512:ident, $fmadd512:ident, $add512:ident, $setzero512:ident,
         $nlanes:literal, $nload:ident, $nstore:ident, $ndup:ident, $nfma:ident, $nadd:ident
@@ -696,11 +721,11 @@ macro_rules! impl_scalar {
             }
             #[inline(always)]
             fn tanh(self) -> Self {
-                <$t>::tanh(self)
+                $tanh(self)
             }
             #[inline(always)]
             fn exp(self) -> Self {
-                <$t>::exp(self)
+                $exp(self)
             }
             #[inline(always)]
             fn max(self, other: Self) -> Self {
@@ -717,6 +742,10 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
+            }
+
+            fn act_row(act: Activation, row: &mut [Self], bias: &[Self]) {
+                $act_row(act, row, bias)
             }
 
             fn take_pack() -> Vec<Self> {
@@ -801,6 +830,9 @@ impl_scalar!(
     16,
     PACK_F32,
     kern_f32,
+    crate::activation::port::tanhf,
+    crate::activation::port::expf,
+    crate::activation::apply_row_f32,
     __m256,
     8,
     _mm256_loadu_ps,
@@ -828,6 +860,9 @@ impl_scalar!(
     8,
     PACK_F64,
     kern_f64,
+    f64::tanh,
+    f64::exp,
+    crate::activation::apply_row_scalar::<f64>,
     __m256d,
     4,
     _mm256_loadu_pd,
