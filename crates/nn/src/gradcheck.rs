@@ -41,12 +41,21 @@ pub fn check_mlp_gradients<S: Scalar>(
     net.zero_grad();
     net.backward(&grad_out);
 
+    // The weight gradients are held over each layer's gradient columns;
+    // every other parameter's gradient is zero.
     let analytic: Vec<f64> = {
         let mut v = Vec::new();
         for layer in net.layers_mut() {
-            for (_, g) in layer.params_and_grads() {
-                v.extend(g.iter().map(|g| g.to_f64()));
+            let (width, cols) = (layer.input_size(), layer.grad_cols().to_vec());
+            let [weights, bias] = layer.grads_mut();
+            for o in 0..bias.len() {
+                let mut row = vec![0.0; width];
+                for (j, &c) in cols.iter().enumerate() {
+                    row[c] = weights[o * cols.len() + j].to_f64();
+                }
+                v.extend(row);
             }
+            v.extend(bias.iter().map(|g| g.to_f64()));
         }
         v
     };

@@ -11,6 +11,14 @@
 //! input compacted to them, and the backward's weight gradient covers
 //! them alone — every product bit for bit its full-width counterpart, at a
 //! cost that follows the support instead of the input width.
+//!
+//! Gradients follow the support too. A layer holds no gradient until its
+//! first backward, so target networks and policy replicas carry none. The
+//! weight gradient is then held over the input columns of the forward that
+//! produced it (`out × support`, the full width after a plain `forward`);
+//! every other column's gradient is `+0` and is never stored, cleared or
+//! read. [`Dense::apply_gradients`] hands that compact form to
+//! [`Optimizer::update_cols`].
 
 use std::ops::Range;
 
@@ -19,6 +27,7 @@ use rand::rngs::StdRng;
 use crate::activation::Activation;
 use crate::init::xavier_uniform;
 use crate::matrix::{for_each_run, matmul_rows_into, transpose_cols_into, Matrix};
+use crate::optimizer::Optimizer;
 use crate::scalar::{Elem, Scalar};
 
 /// Dense layer `a = act(x Wᵀ + b)`.
@@ -34,10 +43,24 @@ pub struct Dense<S: Scalar = Elem> {
     w: Matrix<S>,
     b: Vec<S>,
     activation: Activation,
-    grad_w: Matrix<S>,
-    grad_b: Vec<S>,
+    grad: Grads<S>,
     pack: SupportPack<S>,
     scratch: Scratch<S>,
+}
+
+/// A layer's accumulated parameter gradients, allocated by its first
+/// backward. The weight gradient is held over the input columns `cols`
+/// alone; every other column's gradient is `+0`.
+#[derive(Debug, Clone, Default)]
+struct Grads<S: Scalar> {
+    /// Ascending input columns the weight gradient covers: empty while
+    /// every gradient is `+0` (before the first backward, after
+    /// `zero_grad`).
+    cols: Vec<usize>,
+    /// `dL/dW` over `cols` (`out × cols.len()`).
+    w: Matrix<S>,
+    /// `dL/db` (`out` long; empty before the first backward).
+    b: Vec<S>,
 }
 
 /// Marks an input column that is not in the support pack.
@@ -118,14 +141,11 @@ impl<S: Scalar> Dense<S> {
     /// Rebuilds a layer from raw parts (deserialization).
     pub fn from_parts(w: Matrix<S>, b: Vec<S>, activation: Activation) -> Self {
         assert_eq!(w.rows(), b.len(), "bias/weight row mismatch");
-        let grad_w = Matrix::zeros(w.rows(), w.cols());
-        let grad_b = vec![S::ZERO; b.len()];
         Self {
             w,
             b,
             activation,
-            grad_w,
-            grad_b,
+            grad: Grads::default(),
             pack: SupportPack::default(),
             scratch: Scratch::default(),
         }
@@ -517,9 +537,8 @@ impl<S: Scalar> Dense<S> {
     /// Panics when called before [`Dense::forward`].
     pub(crate) fn backward_parts(&mut self, grad_output: &Matrix<S>, params: bool, dx: bool) {
         assert!(self.scratch.live, "backward before forward");
-        let input = &self.scratch.input;
         let output = &self.scratch.output;
-        assert_eq!(grad_output.rows(), input.rows(), "batch mismatch");
+        assert_eq!(grad_output.rows(), output.rows(), "batch mismatch");
         assert_eq!(grad_output.cols(), self.output_size(), "grad width");
 
         // dz = da ⊙ act'(z), with act' computed from the cached output.
@@ -539,14 +558,15 @@ impl<S: Scalar> Dense<S> {
         }
 
         if params {
-            // dW += dzᵀ x over the forward's columns (out × in); db += column
-            // sums of dz. Both accumulate straight into the gradient buffers.
-            self.scratch.dz.matmul_transpose_a_acc_cols(
-                input,
-                &self.scratch.cols,
-                &mut self.grad_w,
-            );
-            self.scratch.dz.add_column_sums_to(&mut self.grad_b);
+            // dW += dzᵀ x over the forward's columns (out × cols); db +=
+            // column sums of dz. Both accumulate straight into the gradient
+            // buffers.
+            let widened = self.cover_forward_cols();
+            let input = widened.as_ref().unwrap_or(&self.scratch.input);
+            self.scratch
+                .dz
+                .matmul_transpose_a_acc(input, &mut self.grad.w);
+            self.scratch.dz.add_column_sums_to(&mut self.grad.b);
         }
 
         if dx {
@@ -554,6 +574,45 @@ impl<S: Scalar> Dense<S> {
             self.scratch.dz.matmul_into(&self.w, &mut self.scratch.dx);
         }
         self.scratch.grad_live = dx;
+    }
+
+    /// Makes the weight gradient cover the last forward's input columns.
+    /// A gradient that is all `+0` takes them over, zero-filled; one held
+    /// over other columns widens to the union, its values placed at their
+    /// columns and `+0` at the added ones. Returns, for the widened case,
+    /// the kept input over the union (zero in the columns the forward left
+    /// out), so that the accumulation runs over one column set: each
+    /// gradient element's chain is then the full-width product's, whose
+    /// left-out columns contribute only exact-zero terms.
+    fn cover_forward_cols(&mut self) -> Option<Matrix<S>> {
+        let (out, width) = (self.output_size(), self.input_size());
+        self.grads();
+        let (g, s) = (&mut self.grad, &self.scratch);
+        if g.cols == s.cols {
+            return None;
+        }
+        if g.cols.is_empty() {
+            // Reserved for every column, like the pack and the kept input,
+            // so that no later support reallocates; only the first
+            // `out × support` elements are ever written, so resident
+            // memory follows the support.
+            g.cols.reserve(width);
+            g.cols.extend_from_slice(&s.cols);
+            g.w.reserve(out * width);
+            g.w.resize(out, s.cols.len());
+            return None;
+        }
+        // Accumulating over a second support without `zero_grad`: rare
+        // (no train step does it), so the union is built in fresh buffers.
+        let mut union = [g.cols.as_slice(), s.cols.as_slice()].concat();
+        union.sort_unstable();
+        union.dedup();
+        let w = widen(&g.w, &g.cols, &union);
+        let input = widen(&s.input, &s.cols, &union);
+        g.cols.clear();
+        g.cols.extend_from_slice(&union);
+        g.w.copy_from(&w);
+        Some(input)
     }
 
     /// `dL/dx` over the input columns `cols` alone (batch × `cols.len()`),
@@ -597,20 +656,48 @@ impl<S: Scalar> Dense<S> {
         &s.dx
     }
 
-    /// Clears accumulated gradients.
+    /// Clears accumulated gradients: the weight gradient then covers no
+    /// column, so this costs `out`, not `out × in`.
     pub fn zero_grad(&mut self) {
-        self.grad_w.data_mut().fill(S::ZERO);
-        self.grad_b.fill(S::ZERO);
+        let g = &mut self.grad;
+        g.cols.clear();
+        g.w.resize(g.w.rows(), 0);
+        g.b.fill(S::ZERO);
     }
 
-    /// (parameters, gradients) flat views — weights then bias. Handing out
-    /// mutable weights invalidates the support pack.
-    pub fn params_and_grads(&mut self) -> [(&mut [S], &[S]); 2] {
+    /// The gradient buffers, with the bias gradient allocated.
+    fn grads(&mut self) -> &mut Grads<S> {
+        let out = self.output_size();
+        let g = &mut self.grad;
+        if g.b.len() != out {
+            g.b.resize(out, S::ZERO);
+            g.w.resize(out, 0);
+        }
+        g
+    }
+
+    /// The ascending input columns the weight gradient is held over: the
+    /// columns of the forward that produced it. Every other column's
+    /// gradient is `+0`.
+    pub fn grad_cols(&self) -> &[usize] {
+        &self.grad.cols
+    }
+
+    /// Gradient elements this layer holds, weights then bias: `[0, 0]`
+    /// before its first backward, `[out × grad_cols().len(), out]` after.
+    pub fn grad_len(&self) -> [usize; 2] {
+        [self.grad.w.data().len(), self.grad.b.len()]
+    }
+
+    /// Applies the accumulated gradients with `opt`: the weights as block
+    /// `key` through [`Optimizer::update_cols`] over [`Dense::grad_cols`],
+    /// the bias as block `key + 1`. Invalidates the support pack.
+    pub fn apply_gradients(&mut self, opt: &mut impl Optimizer<S>, key: usize) {
+        self.grads();
         self.pack.stale = true;
-        [
-            (self.w.data_mut(), self.grad_w.data()),
-            (self.b.as_mut_slice(), self.grad_b.as_slice()),
-        ]
+        let (width, g) = (self.w.cols(), &self.grad);
+        opt.update_cols(key, self.w.data_mut(), width, &g.cols, g.w.data());
+        opt.update(key + 1, &mut self.b, &g.b);
     }
 
     /// Read-only flat parameter views (weights then bias).
@@ -618,9 +705,11 @@ impl<S: Scalar> Dense<S> {
         [self.w.data(), &self.b]
     }
 
-    /// Mutable flat gradient views (weights then bias).
+    /// Mutable flat gradient views (weights then bias), the weight gradient
+    /// over [`Dense::grad_cols`].
     pub fn grads_mut(&mut self) -> [&mut [S]; 2] {
-        [self.grad_w.data_mut(), self.grad_b.as_mut_slice()]
+        let g = self.grads();
+        [g.w.data_mut(), g.b.as_mut_slice()]
     }
 
     /// Mutable flat parameter views (weights then bias). Invalidates the
@@ -737,6 +826,19 @@ fn push_nonzeros<S: Scalar>(row: &[S], cols: &[usize], pairs: &mut Vec<(usize, S
     }
 }
 
+/// `m`, held over the ascending columns `from`, laid out over the ascending
+/// superset `to`: `+0` in the added columns.
+fn widen<S: Scalar>(m: &Matrix<S>, from: &[usize], to: &[usize]) -> Matrix<S> {
+    let mut out = Matrix::zeros(m.rows(), to.len());
+    for (j, c) in from.iter().enumerate() {
+        let u = to.binary_search(c).expect("a superset");
+        for r in 0..m.rows() {
+            out[(r, u)] = m[(r, j)];
+        }
+    }
+    out
+}
+
 /// Checks that a support ascends strictly within the input width.
 fn check_support(cols: &[usize], width: usize) {
     assert!(u32::try_from(width).is_ok(), "layer too wide to pack");
@@ -782,15 +884,21 @@ mod tests {
         let g = Matrix::row_vector(&[1.0, 1.0]);
         layer.forward(&x);
         layer.backward(&g);
-        let first: Vec<f64> = layer.params_and_grads()[0].1.to_vec();
+        let first: Vec<f64> = layer.grads_mut()[0].to_vec();
         layer.forward(&x);
         layer.backward(&g);
-        let second: Vec<f64> = layer.params_and_grads()[0].1.to_vec();
+        let second: Vec<f64> = layer.grads_mut()[0].to_vec();
         for (a, b) in first.iter().zip(&second) {
             assert!((b - 2.0 * a).abs() < 1e-12);
         }
         layer.zero_grad();
-        assert!(layer.params_and_grads()[0].1.iter().all(|&v| v == 0.0));
+        assert!(layer
+            .grads_mut()
+            .iter()
+            .all(|g| g.iter().all(|&v| v == 0.0)));
+        layer.forward(&x);
+        layer.backward(&g);
+        assert_eq!(layer.grads_mut()[0], first, "accumulation restarts at zero");
     }
 
     #[test]
@@ -945,6 +1053,19 @@ mod tests {
         }
     }
 
+    /// The layer's weight gradient at full width: the held columns' values,
+    /// `+0` in every other column.
+    fn dense_grad_w<S: Scalar>(layer: &Dense<S>) -> Matrix<S> {
+        let g = &layer.grad;
+        let mut dense = Matrix::zeros(layer.output_size(), layer.input_size());
+        for (j, &c) in g.cols.iter().enumerate() {
+            for o in 0..layer.output_size() {
+                dense[(o, c)] = g.w[(o, j)];
+            }
+        }
+        dense
+    }
+
     fn bits<S: Scalar>(v: &[S]) -> Vec<u64> {
         v.iter().map(|x| x.to_f64().to_bits()).collect()
     }
@@ -1022,11 +1143,11 @@ mod tests {
             assert_eq!(bits(dx.data()), bits(want_dx.data()), "dx, pass {pass}");
         }
         assert_eq!(
-            bits(layer.grad_w.data()),
+            bits(dense_grad_w(&layer).data()),
             bits(reference.grad_w.data()),
             "dW"
         );
-        assert_eq!(bits(&layer.grad_b), bits(&reference.grad_b), "db");
+        assert_eq!(bits(&layer.grad.b), bits(&reference.grad_b), "db");
     }
 
     mod properties {
@@ -1116,11 +1237,7 @@ mod tests {
         check(&mut layer, "params_mut");
         layer.forward_support(&x, &support);
         layer.backward(&Matrix::from_fn(7, 16, |r, c| (r + c) as f32));
-        for (params, grads) in layer.params_and_grads() {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= 0.1 * g;
-            }
-        }
+        layer.apply_gradients(&mut crate::optimizer::Sgd::plain(0.1), 0);
         check(&mut layer, "apply_gradients");
         layer.soft_update_from(&other, 0.3);
         check(&mut layer, "soft_update_from");

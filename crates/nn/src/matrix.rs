@@ -394,48 +394,6 @@ impl<S: Scalar> Matrix<S> {
         );
     }
 
-    /// `out[q][cols[j]] += (selfᵀ · other)[q][j]` — the weight-gradient
-    /// product `dW += dzᵀ x` of a layer whose input was compacted to its
-    /// support: `other` holds only the (ascending) input columns `cols` of
-    /// a `width`-wide batch, and `out` is the full `p × width` gradient.
-    /// Columns outside `cols` are not touched; the dense product would add
-    /// `+0` to them.
-    ///
-    /// Every written element is bit for bit what
-    /// [`Matrix::matmul_transpose_a_acc`] over the full-width batch writes:
-    /// the same register tiles over the same output rows, each element's
-    /// chain over ascending batch rows unchanged, and the dropped columns
-    /// hold only exact-zero products. A tile over consecutive columns
-    /// lands in `out` directly, as the dense kernel's do, so a support that
-    /// covers every column runs the dense kernel's stores.
-    ///
-    /// # Panics
-    /// Panics when row counts differ, `cols` is not `other.cols()` long, or
-    /// `out` is not `self.cols() × width`.
-    pub(crate) fn matmul_transpose_a_acc_cols(
-        &self,
-        other: &Matrix<S>,
-        cols: &[usize],
-        out: &mut Matrix<S>,
-    ) {
-        assert_eq!(self.rows, other.rows, "matmul_t_a dims");
-        assert_eq!(cols.len(), other.cols, "support width");
-        assert_eq!(out.rows, self.cols, "accumulator rows");
-        assert!(cols.last().is_none_or(|&c| c < out.cols), "support column");
-        let (m, p, width) = (self.rows, self.cols, out.cols);
-        let (a, b) = (&self.data, &other.data);
-        let job =
-            |q0, q1, band: &mut [S]| gemm_at_cols_range(a, m, p, b, cols, width, q0, q1, band);
-        let flops = m.saturating_mul(p).saturating_mul(cols.len());
-        workpool::with_current(|pool| {
-            if worth_sharding(pool.threads(), p, flops) {
-                at_bands(pool, p, width, &mut out.data, job);
-            } else {
-                job(0, p, &mut out.data);
-            }
-        });
-    }
-
     /// Adds `row` to every row of `self` (broadcast add, used for biases).
     ///
     /// # Panics
@@ -891,18 +849,7 @@ fn gemm_stream_at_range<S: Scalar>(
     while q + MR <= q1 {
         let mut jt = 0;
         while jt + tj <= n {
-            S::gemm_tile_at(
-                kernel,
-                a,
-                m,
-                p,
-                q,
-                b,
-                n,
-                jt,
-                &mut out_band[row(q) + jt..],
-                n,
-            );
+            S::gemm_tile_at(kernel, a, m, p, q, b, n, jt, &mut out_band[row(q) + jt..]);
             jt += tj;
         }
         while jt < n {
@@ -929,96 +876,6 @@ fn gemm_stream_at_range<S: Scalar>(
             for (ov, &bv) in o.iter_mut().zip(b_row) {
                 *ov = av.mul_add(bv, *ov);
             }
-        }
-        q += 1;
-    }
-}
-
-/// Output rows `q0..q1` of [`Matrix::matmul_transpose_a_acc_cols`] into
-/// `out_band` (`(q1−q0) × width`): [`gemm_stream_at_range`]'s tiles, column
-/// tail and row tail over the compacted `b` (`m × cols.len()`). A tile whose
-/// columns form one run lands in the output rows directly, as in the dense
-/// kernel; any other runs over its output values gathered into a stack
-/// tile, which are then stored back.
-#[allow(clippy::too_many_arguments)]
-fn gemm_at_cols_range<S: Scalar>(
-    a: &[S],
-    m: usize,
-    p: usize,
-    b: &[S],
-    cols: &[usize],
-    width: usize,
-    q0: usize,
-    q1: usize,
-    out_band: &mut [S],
-) {
-    let n = cols.len();
-    debug_assert_eq!(a.len(), m * p);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(out_band.len(), (q1 - q0) * width);
-    if m == 0 || n == 0 || q0 == q1 {
-        return;
-    }
-    // A broken tile's `MR × TJ` values, on the stack: `TJ` is 16 at most.
-    const TILE: usize = MR * 16;
-    let kernel = active_microkernel();
-    let tj = S::TJ;
-    let row = |q: usize| (q - q0) * width;
-    let mut tile = [S::ZERO; TILE];
-    let tile = &mut tile[..MR * tj];
-    let mut q = q0;
-    while q + MR <= q1 {
-        let mut jt = 0;
-        while jt + tj <= n {
-            let tile_cols = &cols[jt..jt + tj];
-            let c0 = tile_cols[0];
-            if tile_cols[tj - 1] - c0 == tj - 1 {
-                let out = &mut out_band[row(q) + c0..];
-                S::gemm_tile_at(kernel, a, m, p, q, b, n, jt, out, width);
-            } else {
-                // Gathered, advanced exactly as the dense kernel advances
-                // them in place, and stored back.
-                for (r, t) in tile.chunks_exact_mut(tj).take(MR).enumerate() {
-                    let o = &out_band[row(q + r)..];
-                    for (d, &c) in t.iter_mut().zip(tile_cols) {
-                        *d = o[c];
-                    }
-                }
-                S::gemm_tile_at(kernel, a, m, p, q, b, n, jt, tile, tj);
-                for (r, t) in tile.chunks_exact(tj).take(MR).enumerate() {
-                    let o = &mut out_band[row(q + r)..];
-                    for (&v, &c) in t.iter().zip(tile_cols) {
-                        o[c] = v;
-                    }
-                }
-            }
-            jt += tj;
-        }
-        while jt < n {
-            let mut acc = [S::ZERO; MR];
-            for l in 0..m {
-                let bv = b[l * n + jt];
-                let ar = &a[l * p + q..l * p + q + MR];
-                for (av, &aval) in acc.iter_mut().zip(ar) {
-                    *av = aval.mul_add(bv, *av);
-                }
-            }
-            for (r, &av) in acc.iter().enumerate() {
-                out_band[row(q + r) + cols[jt]] += av;
-            }
-            jt += 1;
-        }
-        q += MR;
-    }
-    // Tail rows continue from the stored value, as the dense kernel's do.
-    while q < q1 {
-        let o = &mut out_band[row(q)..row(q) + width];
-        for (j, &c) in cols.iter().enumerate() {
-            let mut v = o[c];
-            for l in 0..m {
-                v = a[l * p + q].mul_add(b[l * n + j], v);
-            }
-            o[c] = v;
         }
         q += 1;
     }

@@ -12,7 +12,7 @@
 //! A caller that knows which input columns its batch touches names them:
 //! `forward_rows` (each row from its own nonzeros) and `input_gradient`
 //! (one GEMM over those columns) run the first layer over them, a
-//! following backward's weight gradient covers them alone,
+//! following backward's weight gradient is held over them alone,
 //! `input_gradient` computes `∂/∂x` for the columns it is asked for,
 //! and the first layer's `Wᵀ` is packed for those columns only — bit for
 //! bit the dense computation, at a cost that follows the batch's support
@@ -306,12 +306,11 @@ impl<S: Scalar> Mlp<S> {
         }
     }
 
-    /// Applies accumulated gradients with `opt` (gradient *descent*).
+    /// Applies accumulated gradients with `opt` (gradient *descent*),
+    /// layer `l`'s weights as block `2l` and its bias as `2l + 1`.
     pub fn apply_gradients(&mut self, opt: &mut impl Optimizer<S>) {
         for (li, layer) in self.layers.iter_mut().enumerate() {
-            for (pi, (params, grads)) in layer.params_and_grads().into_iter().enumerate() {
-                opt.update(li * 2 + pi, params, grads);
-            }
+            layer.apply_gradients(opt, li * 2);
         }
     }
 
@@ -552,9 +551,9 @@ mod tests {
         let x = Matrix::row_vector(&[0.1, 0.2]);
         net.forward(&x);
         net.backward(&Matrix::row_vector(&[1.0]));
-        let before: Vec<f64> = net.layers[0].params_and_grads()[0].1.to_vec();
+        let before: Vec<f64> = net.layers[0].grads_mut()[0].to_vec();
         let _ = net.input_gradient(&x, &[0, 1], 0..2);
-        let after: Vec<f64> = net.layers[0].params_and_grads()[0].1.to_vec();
+        let after: Vec<f64> = net.layers[0].grads_mut()[0].to_vec();
         assert_eq!(before, after);
     }
 
@@ -596,6 +595,105 @@ mod tests {
         }
         case::<f32>();
         case::<f64>();
+    }
+
+    /// Every parameter gradient at full width as raw bits: each weight
+    /// gradient's held columns in place, `+0` in the others.
+    fn full_grads<S: crate::scalar::Scalar>(net: &mut Mlp<S>) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for layer in &mut net.layers {
+            let (width, cols) = (layer.input_size(), layer.grad_cols().to_vec());
+            let [weights, bias] = layer.grads_mut();
+            for o in 0..bias.len() {
+                let mut row = vec![S::ZERO; width];
+                for (j, &c) in cols.iter().enumerate() {
+                    row[c] = weights[o * cols.len() + j];
+                }
+                bits.extend(row.iter().map(|g| g.to_f64().to_bits()));
+            }
+            bits.extend(bias.iter().map(|g| g.to_f64().to_bits()));
+        }
+        bits
+    }
+
+    /// `clip_gradients` over a first-layer gradient held at the batch's
+    /// support reports the same norm as over the same gradients at full
+    /// width, and scales them to the same bits.
+    #[test]
+    fn clip_gradients_over_the_support_matches_full_width() {
+        fn case<S: crate::scalar::Scalar>() {
+            let acts = [Activation::Tanh, Activation::Tanh, Activation::Identity];
+            let mut sparse: Mlp<S> = Mlp::new(&[40, 24, 12, 1], &acts, 3);
+            let mut full = sparse.clone();
+            let x: Matrix<S> = Matrix::from_fn(7, 40, |r, c| match (c % 5, (r + c) % 3) {
+                (0, 0) => S::ONE,
+                (0, _) | (3, 1) => S::from_f64(0.1 * c as f64 - 1.7),
+                (1, _) => S::from_f64(-0.0),
+                _ => S::ZERO,
+            });
+            let support: Vec<usize> = (0..40)
+                .filter(|&c| (0..7).any(|r| x[(r, c)] != S::ZERO))
+                .collect();
+            let seed: Matrix<S> = Matrix::from_fn(7, 1, |r, _| S::from_f64(3.0 - r as f64));
+            sparse.forward_rows(&x, &support);
+            sparse.backward_params(&seed);
+            full.forward(&x);
+            full.backward_params(&seed);
+            assert_eq!(sparse.layers[0].grad_cols(), support);
+            assert_eq!(full.layers[0].grad_cols().len(), 40);
+            assert_eq!(full_grads(&mut sparse), full_grads(&mut full));
+
+            let norm = full.clip_gradients(f64::MAX);
+            assert_eq!(sparse.clip_gradients(f64::MAX).to_bits(), norm.to_bits());
+            let clipped = full.clip_gradients(norm / 3.0);
+            assert_eq!(clipped.to_bits(), norm.to_bits(), "pre-clip norm");
+            assert_eq!(sparse.clip_gradients(norm / 3.0).to_bits(), norm.to_bits());
+            assert_eq!(full_grads(&mut sparse), full_grads(&mut full), "scaled");
+        }
+        case::<f32>();
+        case::<f64>();
+    }
+
+    /// Gradients exist only where a backward wrote them: a fresh network,
+    /// its clone and one rebuilt from parts or bytes hold none; a backward
+    /// over a support holds `out × support` first-layer weight-gradient
+    /// elements; `zero_grad` drops them again.
+    #[test]
+    fn gradients_are_held_only_where_a_backward_wrote_them() {
+        let acts = [Activation::Tanh, Activation::Identity];
+        let mut net: Mlp<f32> = Mlp::new(&[30, 8, 1], &acts, 2);
+        let holds_none = |net: &Mlp<f32>| net.layers.iter().all(|l| l.grad_len() == [0, 0]);
+        let parts = |net: &Mlp<f32>| -> Mlp<f32> {
+            let layers = net
+                .layers
+                .iter()
+                .map(|l| Dense::from_parts(l.weights().clone(), l.bias().to_vec(), l.activation()));
+            Mlp::from_layers(layers.collect())
+        };
+        assert!(holds_none(&net), "fresh");
+        assert!(holds_none(&net.clone()), "clone");
+        assert!(holds_none(&parts(&net)), "from_parts");
+        let bytes = crate::serialize::encode_mlp(&net);
+        let decoded: Mlp<f32> = crate::serialize::decode_mlp(&bytes).expect("round trip");
+        assert!(holds_none(&decoded), "decoded");
+
+        let support = [2usize, 5, 6, 17];
+        let x: Matrix<f32> = Matrix::from_fn(3, 30, |r, c| {
+            if support.contains(&c) {
+                (r + c) as f32 * 0.1
+            } else {
+                0.0
+            }
+        });
+        net.forward_rows(&x, &support);
+        net.backward_params(&Matrix::from_fn(3, 1, |r, _| r as f32 - 1.0));
+        assert_eq!(net.layers[0].grad_cols(), support);
+        assert_eq!(net.layers[0].grad_len(), [8 * support.len(), 8]);
+        assert_eq!(net.layers[1].grad_len(), [8, 1]);
+        assert!(holds_none(&parts(&net)), "from_parts of a trained net");
+        net.zero_grad();
+        assert_eq!(net.layers[0].grad_len(), [0, 8]);
+        assert!(net.layers[0].grad_cols().is_empty());
     }
 
     fn grad_norm(net: &mut Mlp<f64>) -> f64 {

@@ -3,9 +3,17 @@
 //! Both maintain per-parameter-block state keyed by a caller-supplied block
 //! id (the [`crate::Mlp`] uses `layer_index * 2 + {0: weights, 1: bias}`),
 //! so a single optimizer instance can drive a whole network.
+//!
+//! A block's gradient comes full width ([`Optimizer::update`]) or held
+//! over a set of columns of its rows ([`Optimizer::update_cols`]: a layer's
+//! weight gradient over the minibatch's support). Both run one per-element
+//! step per optimizer over the same values, so the column form is bit for
+//! bit the full-width update with `+0` in the columns left out.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
+use crate::matrix::for_each_run;
 use crate::scalar::{Elem, Scalar};
 
 /// A gradient-descent update rule over flat parameter blocks of element
@@ -18,8 +26,95 @@ pub trait Optimizer<S: Scalar = Elem> {
     /// per-block moments.
     fn update(&mut self, key: usize, params: &mut [S], grads: &[S]);
 
+    /// [`Optimizer::update`] for a block of `width`-long parameter rows
+    /// whose gradient is held over the ascending columns `cols` alone:
+    /// `grads` is `rows × cols.len()`, row-major, and every other column's
+    /// gradient is `+0`. Each row's gradient is scattered into a reused
+    /// row of `+0` and run through the per-element step `update` runs, so
+    /// the result is bit for bit `update` over the zero-filled full
+    /// gradient, which never exists.
+    ///
+    /// # Panics
+    /// Panics when `params` is not whole rows, `grads` is not
+    /// `rows × cols.len()`, or a column is out of range.
+    fn update_cols(
+        &mut self,
+        key: usize,
+        params: &mut [S],
+        width: usize,
+        cols: &[usize],
+        grads: &[S],
+    );
+
     /// Resets all optimizer state (moments, step counters).
     fn reset(&mut self);
+}
+
+/// What [`Optimizer::update_cols`] scatters a gradient row through.
+#[derive(Debug, Clone, Default)]
+struct RowScratch<S: Scalar> {
+    /// One parameter row's gradient: all `+0` between calls.
+    row: Vec<S>,
+    /// The held columns as runs `(position, first column, length)`.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+/// Runs `step(span, grads)` over a block of `len` parameters: once over
+/// the whole block when its gradient is full (`held` is `None`: one per
+/// parameter) or held over every column of its `width`-long rows, and
+/// otherwise a row at a time, the row's gradient over `cols` copied into
+/// `row` (`width` long, all `+0` between calls) a run of consecutive
+/// columns at a time.
+fn for_each_row<S: Scalar>(
+    RowScratch { row, runs }: &mut RowScratch<S>,
+    len: usize,
+    held: Option<(usize, &[usize])>,
+    grads: &[S],
+    mut step: impl FnMut(Range<usize>, &[S]),
+) {
+    let Some((width, cols)) = held else {
+        assert_eq!(len, grads.len(), "param/grad length mismatch");
+        return step(0..len, grads);
+    };
+    assert!(
+        width > 0 && len.is_multiple_of(width),
+        "parameter block is not whole rows"
+    );
+    let (rows, n) = (len / width, cols.len());
+    assert_eq!(grads.len(), rows * n, "gradient is not rows × cols");
+    assert!(
+        cols.last().is_none_or(|&c| c < width),
+        "gradient column range"
+    );
+    // Reserved even for a full gradient, so that a later partial one in
+    // a warm loop does not allocate (runs are at least a column apart).
+    row.reserve(width.saturating_sub(row.len()));
+    runs.clear();
+    runs.reserve(width.div_ceil(2));
+    if n == width {
+        // Ascending and in range: every column, so the gradient is full.
+        return step(0..len, grads);
+    }
+    row.resize(width, S::ZERO);
+    for_each_run(cols, |j, c, len| runs.push((j, c, len)));
+    for r in 0..rows {
+        // Every row is held over the same columns, so each scatter
+        // overwrites exactly the previous row's entries.
+        let grads = &grads[r * n..(r + 1) * n];
+        for &(j, c, len) in runs.iter() {
+            // A one-column run (the one-hot blocks' usual case) is one
+            // store, not a `memcpy` call.
+            if len == 1 {
+                row[c] = grads[j];
+            } else {
+                row[c..c + len].copy_from_slice(&grads[j..j + len]);
+            }
+        }
+        step(r * width..(r + 1) * width, row);
+    }
+    for &(_, c, len) in runs.iter() {
+        row[c..c + len].fill(S::ZERO);
+    }
 }
 
 /// Stochastic gradient descent with classical momentum.
@@ -28,6 +123,7 @@ pub struct Sgd<S: Scalar = Elem> {
     lr: f64,
     momentum: f64,
     velocity: HashMap<usize, Vec<S>>,
+    scratch: RowScratch<S>,
 }
 
 impl<S: Scalar> Sgd<S> {
@@ -42,6 +138,7 @@ impl<S: Scalar> Sgd<S> {
             lr,
             momentum,
             velocity: HashMap::new(),
+            scratch: RowScratch::default(),
         }
     }
 
@@ -54,28 +151,49 @@ impl<S: Scalar> Sgd<S> {
     pub fn learning_rate(&self) -> f64 {
         self.lr
     }
+
+    /// One step over a block whose gradient is full (`held` is `None`) or
+    /// held over columns of its rows (`Some((width, cols))`).
+    fn step(&mut self, key: usize, params: &mut [S], held: Option<(usize, &[usize])>, grads: &[S]) {
+        let len = params.len();
+        let (lr, momentum) = (S::from_f64(self.lr), S::from_f64(self.momentum));
+        let mut velocity = (self.momentum != 0.0).then(|| {
+            let v = self
+                .velocity
+                .entry(key)
+                .or_insert_with(|| vec![S::ZERO; len]);
+            assert_eq!(v.len(), len, "block size changed under key");
+            v
+        });
+        for_each_row(&mut self.scratch, len, held, grads, |span, grads| {
+            let params = params[span.clone()].iter_mut().zip(grads);
+            match velocity.as_mut() {
+                None => params.for_each(|(p, &g)| *p -= lr * g),
+                Some(v) => {
+                    for ((p, &g), vel) in params.zip(&mut v[span]) {
+                        *vel = momentum * *vel + g;
+                        *p -= lr * *vel;
+                    }
+                }
+            }
+        });
+    }
 }
 
 impl<S: Scalar> Optimizer<S> for Sgd<S> {
     fn update(&mut self, key: usize, params: &mut [S], grads: &[S]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        let lr = S::from_f64(self.lr);
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= lr * g;
-            }
-            return;
-        }
-        let momentum = S::from_f64(self.momentum);
-        let v = self
-            .velocity
-            .entry(key)
-            .or_insert_with(|| vec![S::ZERO; params.len()]);
-        assert_eq!(v.len(), params.len(), "block size changed under key");
-        for ((p, &g), vel) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-            *vel = momentum * *vel + g;
-            *p -= lr * *vel;
-        }
+        self.step(key, params, None, grads);
+    }
+
+    fn update_cols(
+        &mut self,
+        key: usize,
+        params: &mut [S],
+        width: usize,
+        cols: &[usize],
+        grads: &[S],
+    ) {
+        self.step(key, params, Some((width, cols)), grads);
     }
 
     fn reset(&mut self) {
@@ -91,6 +209,7 @@ pub struct Adam<S: Scalar = Elem> {
     beta2: f64,
     eps: f64,
     state: HashMap<usize, AdamState<S>>,
+    scratch: RowScratch<S>,
 }
 
 #[derive(Debug, Clone)]
@@ -123,6 +242,7 @@ impl<S: Scalar> Adam<S> {
             beta2,
             eps,
             state: HashMap::new(),
+            scratch: RowScratch::default(),
         }
     }
 
@@ -172,38 +292,57 @@ impl<S: Scalar> Adam<S> {
             );
         }
     }
-}
 
-impl<S: Scalar> Optimizer<S> for Adam<S> {
-    fn update(&mut self, key: usize, params: &mut [S], grads: &[S]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
+    /// One step over a block whose gradient is full (`held` is `None`) or
+    /// held over columns of its rows (`Some((width, cols))`).
+    fn step(&mut self, key: usize, params: &mut [S], held: Option<(usize, &[usize])>, grads: &[S]) {
+        let len = params.len();
         let st = self.state.entry(key).or_insert_with(|| AdamState {
-            m: vec![S::ZERO; params.len()],
-            v: vec![S::ZERO; params.len()],
+            m: vec![S::ZERO; len],
+            v: vec![S::ZERO; len],
             t: 0,
         });
-        assert_eq!(st.m.len(), params.len(), "block size changed under key");
+        assert_eq!(st.m.len(), len, "block size changed under key");
         st.t += 1;
         // Bias corrections stay in f64 (powi over a u64 step count); the
         // per-element loop runs entirely in `S`.
         let lr = S::from_f64(self.lr);
         let beta1 = S::from_f64(self.beta1);
         let beta2 = S::from_f64(self.beta2);
-        let c1 = S::ONE - beta1;
-        let c2 = S::ONE - beta2;
+        let (c1, c2) = (S::ONE - beta1, S::ONE - beta2);
         let eps = S::from_f64(self.eps);
         let bc1 = S::from_f64(1.0 - self.beta1.powi(st.t as i32));
         let bc2 = S::from_f64(1.0 - self.beta2.powi(st.t as i32));
-        // Zipped, not indexed: with no bounds checks in the body the loop
-        // vectorizes (elementwise ops only, so lanes round as scalars do).
-        let moments = st.m.iter_mut().zip(st.v.iter_mut());
-        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
-            *m = beta1 * *m + c1 * g;
-            *v = beta2 * *v + c2 * g * g;
-            let m_hat = *m / bc1;
-            let v_hat = *v / bc2;
-            *p -= lr * m_hat / (v_hat.sqrt() + eps);
-        }
+        for_each_row(&mut self.scratch, len, held, grads, |span, grads| {
+            // Zipped, not indexed: with no bounds checks in the body the
+            // loop vectorizes (elementwise ops only, so lanes round as
+            // scalars do).
+            let moments = st.m[span.clone()].iter_mut().zip(&mut st.v[span.clone()]);
+            for ((p, &g), (m, v)) in params[span].iter_mut().zip(grads).zip(moments) {
+                *m = beta1 * *m + c1 * g;
+                *v = beta2 * *v + c2 * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *p -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        });
+    }
+}
+
+impl<S: Scalar> Optimizer<S> for Adam<S> {
+    fn update(&mut self, key: usize, params: &mut [S], grads: &[S]) {
+        self.step(key, params, None, grads);
+    }
+
+    fn update_cols(
+        &mut self,
+        key: usize,
+        params: &mut [S],
+        width: usize,
+        cols: &[usize],
+        grads: &[S],
+    ) {
+        self.step(key, params, Some((width, cols)), grads);
     }
 
     fn reset(&mut self) {
@@ -362,6 +501,111 @@ mod tests {
     fn adam_zipped_loop_matches_indexed_reference_bit_for_bit() {
         adam_matches_indexed_reference::<f32>(5);
         adam_matches_indexed_reference::<f64>(6);
+    }
+
+    fn bits<S: Scalar>(v: &[S]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// An ascending column set of `width` columns of one of four kinds:
+    /// none, every column, fragmented (each column with probability ½), or
+    /// one run plus scattered columns.
+    fn column_set(kind: usize, width: usize, rng: &mut rand::rngs::StdRng) -> Vec<usize> {
+        use rand::RngExt;
+        match kind {
+            0 => Vec::new(),
+            1 => (0..width).collect(),
+            2 => (0..width).filter(|_| rng.random_range(0..2) == 0).collect(),
+            _ => {
+                let start = rng.random_range(0..width);
+                let run = start..rng.random_range(start..=width);
+                (0..width)
+                    .filter(|c| run.contains(c) || rng.random_range(0..5) == 0)
+                    .collect()
+            }
+        }
+    }
+
+    /// [`Optimizer::update_cols`] against [`Optimizer::update`] over the
+    /// zero-filled full gradient, on twin optimizers, bit for bit: every
+    /// parameter after each of six steps, then the optimizer `state`. Each
+    /// case drives two blocks of random shapes through one optimizer (so
+    /// the scatter row changes width), with a new column set of every kind
+    /// each step (columns leave and rejoin the set, as minibatch supports
+    /// do) and gradients with exact `+0` and `−0` entries.
+    fn column_form_matches_dense<S: Scalar, O: Optimizer<S>>(
+        make: impl Fn() -> O,
+        state: impl Fn(&O) -> Vec<u64>,
+        seed: u64,
+    ) {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for case in 0..24 {
+            let (mut got_opt, mut want_opt) = (make(), make());
+            let mut blocks: Vec<(usize, Vec<S>, Vec<S>)> = (0..2)
+                .map(|_| {
+                    let (rows, width): (usize, usize) =
+                        (rng.random_range(1..=6), rng.random_range(1..=90));
+                    let init: Vec<S> = (0..rows * width)
+                        .map(|_| S::from_f64(rng.random_range(-1.0..1.0)))
+                        .collect();
+                    (width, init.clone(), init)
+                })
+                .collect();
+            for step in 0..6 {
+                for (key, (width, got, want)) in blocks.iter_mut().enumerate() {
+                    let (width, rows) = (*width, got.len() / *width);
+                    let cols = column_set((case + step + key) % 4, width, &mut rng);
+                    let grads: Vec<S> = (0..rows * cols.len())
+                        .map(|_| match rng.random_range(0..5) {
+                            0 => S::from_f64(-0.0),
+                            1 => S::ZERO,
+                            _ => S::from_f64(rng.random_range(-2.0..2.0)),
+                        })
+                        .collect();
+                    let mut full = vec![S::ZERO; rows * width];
+                    for r in 0..rows {
+                        for (j, &c) in cols.iter().enumerate() {
+                            full[r * width + c] = grads[r * cols.len() + j];
+                        }
+                    }
+                    got_opt.update_cols(key, got, width, &cols, &grads);
+                    want_opt.update(key, want, &full);
+                    assert_eq!(bits(got), bits(want), "case {case} step {step} block {key}");
+                }
+            }
+            assert_eq!(state(&got_opt), state(&want_opt), "case {case}: state");
+        }
+    }
+
+    #[test]
+    fn column_form_update_matches_the_dense_update_bit_for_bit() {
+        fn moments<S: Scalar>(opt: &Adam<S>) -> Vec<u64> {
+            let blocks = opt.export_moments();
+            let flat = blocks.iter().flat_map(|(_, m, v, t)| {
+                let moments = m.iter().chain(v).map(|x| x.to_bits());
+                moments.chain(std::iter::once(*t))
+            });
+            flat.collect()
+        }
+        fn velocity<S: Scalar>(opt: &Sgd<S>) -> Vec<u64> {
+            let mut keys: Vec<_> = opt.velocity.keys().copied().collect();
+            keys.sort_unstable();
+            keys.iter().flat_map(|k| bits(&opt.velocity[k])).collect()
+        }
+        column_form_matches_dense(|| Adam::<f32>::new(1e-2), moments, 1);
+        column_form_matches_dense(|| Adam::<f64>::new(1e-2), moments, 2);
+        column_form_matches_dense(|| Sgd::<f32>::new(0.05, 0.9), velocity, 3);
+        column_form_matches_dense(|| Sgd::<f64>::new(0.05, 0.9), velocity, 4);
+        column_form_matches_dense(|| Sgd::<f32>::plain(0.05), velocity, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient is not rows × cols")]
+    fn column_form_checks_the_gradient_shape() {
+        let mut opt = Adam::new(0.1);
+        let mut x = [0.0f64; 6];
+        opt.update_cols(0, &mut x, 3, &[0, 2], &[1.0; 3]);
     }
 
     #[test]

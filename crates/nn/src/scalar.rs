@@ -333,10 +333,10 @@ pub trait Scalar:
     );
 
     /// Transposed-A register tile:
-    /// `out[r·ldo + x] += Σ_l a[l·p + q + r] · b[l·n + jt + x]` — the
+    /// `out[r·n + x] += Σ_l a[l·p + q + r] · b[l·n + jt + x]` — the
     /// four broadcast scalars per step are four *adjacent columns* of the
     /// untransposed `a` (m×p row-major), so no packing is needed. `out` is
-    /// pre-sliced at the tile's first element and strided by `ldo`.
+    /// pre-sliced at the tile's first element.
     #[allow(clippy::too_many_arguments)]
     fn gemm_tile_at(
         kernel: Microkernel,
@@ -348,7 +348,6 @@ pub trait Scalar:
         n: usize,
         jt: usize,
         out: &mut [Self],
-        ldo: usize,
     );
 
     /// Wide broadcast-A register tile — [`WMR`]` = 8` rows × `2·TJ`
@@ -421,11 +420,10 @@ macro_rules! impl_scalar {
                 n: usize,
                 jt: usize,
                 out: &mut [$t],
-                ldo: usize,
             ) {
                 debug_assert!(a.len() >= (m - 1) * p + q + MR);
                 debug_assert!(b.len() >= (m - 1) * n + jt + TJ);
-                debug_assert!(out.len() >= (MR - 1) * ldo + TJ);
+                debug_assert!(out.len() >= (MR - 1) * n + TJ);
                 let mut acc = [[0.0 as $t; TJ]; MR];
                 for l in 0..m {
                     let bt = &b[l * n + jt..l * n + jt + TJ];
@@ -437,7 +435,7 @@ macro_rules! impl_scalar {
                     }
                 }
                 for (r, acc_row) in acc.iter().enumerate() {
-                    let o = &mut out[r * ldo..r * ldo + TJ];
+                    let o = &mut out[r * n..r * n + TJ];
                     for (ov, &av) in o.iter_mut().zip(acc_row) {
                         *ov += av;
                     }
@@ -503,12 +501,11 @@ macro_rules! impl_scalar {
                 n: usize,
                 jt: usize,
                 out: &mut [$t],
-                ldo: usize,
             ) {
                 use std::arch::x86_64::*;
                 debug_assert!(a.len() >= (m - 1) * p + q + MR);
                 debug_assert!(b.len() >= (m - 1) * n + jt + TJ);
-                debug_assert!(out.len() >= (MR - 1) * ldo + TJ);
+                debug_assert!(out.len() >= (MR - 1) * n + TJ);
                 let mut acc = [[$setzero(); 2]; MR];
                 let ap = a.as_ptr();
                 let bp = b.as_ptr();
@@ -524,7 +521,7 @@ macro_rules! impl_scalar {
                 }
                 let op = out.as_mut_ptr();
                 for (r, acc_row) in acc.iter().enumerate() {
-                    let o = op.add(r * ldo);
+                    let o = op.add(r * n);
                     $storeu(o, $add($loadu(o), acc_row[0]));
                     let o1 = o.add($lanes);
                     $storeu(o1, $add($loadu(o1), acc_row[1]));
@@ -657,12 +654,11 @@ macro_rules! impl_scalar {
                 n: usize,
                 jt: usize,
                 out: &mut [$t],
-                ldo: usize,
             ) {
                 use std::arch::aarch64::*;
                 debug_assert!(a.len() >= (m - 1) * p + q + MR);
                 debug_assert!(b.len() >= (m - 1) * n + jt + TJ);
-                debug_assert!(out.len() >= (MR - 1) * ldo + TJ);
+                debug_assert!(out.len() >= (MR - 1) * n + TJ);
                 let mut acc = [[$ndup(0.0 as $t); TJ / $nlanes]; MR];
                 let ap = a.as_ptr();
                 let bp = b.as_ptr();
@@ -682,7 +678,7 @@ macro_rules! impl_scalar {
                 }
                 let op = out.as_mut_ptr();
                 for (r, acc_row) in acc.iter().enumerate() {
-                    let o = op.add(r * ldo);
+                    let o = op.add(r * n);
                     for (v, &av) in acc_row.iter().enumerate() {
                         let ov = o.add(v * $nlanes);
                         $nstore(ov, $nadd($nload(ov), av));
@@ -788,18 +784,15 @@ macro_rules! impl_scalar {
                 n: usize,
                 jt: usize,
                 out: &mut [Self],
-                ldo: usize,
             ) {
                 match kernel {
                     #[cfg(target_arch = "x86_64")]
                     Microkernel::Avx2Fma | Microkernel::Avx512 => unsafe {
-                        $kern::tile_at_avx2(a, m, p, q, b, n, jt, out, ldo)
+                        $kern::tile_at_avx2(a, m, p, q, b, n, jt, out)
                     },
                     #[cfg(target_arch = "aarch64")]
-                    Microkernel::Neon => unsafe {
-                        $kern::tile_at_neon(a, m, p, q, b, n, jt, out, ldo)
-                    },
-                    Microkernel::Scalar => $kern::tile_at(a, m, p, q, b, n, jt, out, ldo),
+                    Microkernel::Neon => unsafe { $kern::tile_at_neon(a, m, p, q, b, n, jt, out) },
+                    Microkernel::Scalar => $kern::tile_at(a, m, p, q, b, n, jt, out),
                     _ => unreachable!("SIMD kernel selected off its architecture"),
                 }
             }
@@ -950,19 +943,8 @@ mod tests {
             let at = mk(3, m * p);
             let mut scalar_at = vec![S::ZERO; MR * n];
             let mut avx_at = vec![S::ZERO; MR * n];
-            S::gemm_tile_at(
-                Microkernel::Scalar,
-                &at,
-                m,
-                p,
-                q,
-                &b,
-                n,
-                0,
-                &mut scalar_at,
-                n,
-            );
-            S::gemm_tile_at(Microkernel::Avx2Fma, &at, m, p, q, &b, n, 0, &mut avx_at, n);
+            S::gemm_tile_at(Microkernel::Scalar, &at, m, p, q, &b, n, 0, &mut scalar_at);
+            S::gemm_tile_at(Microkernel::Avx2Fma, &at, m, p, q, &b, n, 0, &mut avx_at);
             assert_eq!(scalar_at, avx_at, "{} transposed-A tile diverged", S::NAME);
         }
         case::<f32>();

@@ -1495,6 +1495,100 @@ mod tests {
         });
     }
 
+    /// After a train step each first layer holds its weight gradient at
+    /// the minibatch's support — the critic's over the states' and actions'
+    /// nonzero columns, the actor's over the states' — and nothing else: the
+    /// target networks, which never run a backward, hold no gradient at all.
+    /// Returns the agent.
+    fn train_step_holds_gradients_at_the_support(
+        n: usize,
+        m: usize,
+        batch: usize,
+        fill: usize,
+    ) -> DdpgAgent<Elem> {
+        use crate::mapper::ScalableMapper;
+        use rand::RngExt;
+        let state_dim = n * m + 2;
+        let cfg = DdpgConfig {
+            batch,
+            ..DdpgConfig::default()
+        };
+        let mut agent: DdpgAgent<Elem> = DdpgAgent::new(state_dim, n * m, cfg);
+        let mut rng = StdRng::seed_from_u64(19);
+        for _ in 0..fill {
+            let (s, next) = (control_state(n, m, &mut rng), control_state(n, m, &mut rng));
+            let action = control_state::<Elem>(n, m, &mut rng)[..n * m].to_vec();
+            let reward = rng.random_range(-3.0..-0.5);
+            agent.store(Transition::new(s, action, reward, next));
+        }
+        let mut mapper = ScalableMapper::from_knobs(n, m, 0, 0);
+        let holds_none = |net: &Mlp<Elem>| net.layers().iter().all(|l| l.grad_len() == [0, 0]);
+        for step in 0..2 {
+            agent
+                .train_step(&mut mapper, &mut rng)
+                .expect("replay filled");
+            let in_dim = state_dim + n * m;
+            let touched = |c: usize| {
+                agent.scratch.idx.iter().any(|&i| {
+                    let t = agent.replay.get(i);
+                    let v = if c < state_dim {
+                        t.state[c]
+                    } else {
+                        t.action[c - state_dim]
+                    };
+                    v != 0.0
+                })
+            };
+            let support: Vec<usize> = (0..in_dim).filter(|&c| touched(c)).collect();
+            let state_cols = support.partition_point(|&c| c < state_dim);
+            let h1 = cfg.hidden[0];
+            for (net, cols) in [
+                (&agent.critic, &support[..]),
+                (&agent.actor, &support[..state_cols]),
+            ] {
+                let first = &net.layers()[0];
+                assert_eq!(first.grad_cols(), cols, "step {step}");
+                assert_eq!(first.grad_len(), [h1 * cols.len(), h1], "step {step}");
+            }
+            assert!(holds_none(&agent.target_actor), "step {step}: target actor");
+            assert!(
+                holds_none(&agent.target_critic),
+                "step {step}: target critic"
+            );
+        }
+        agent
+    }
+
+    #[test]
+    fn train_step_holds_gradients_at_the_support_and_targets_hold_none() {
+        let agent = train_step_holds_gradients_at_the_support(10, 6, 16, 40);
+        // Nets rebuilt from bytes carry no gradient until they train.
+        let restored: DdpgAgent = DdpgAgent::restore_state(&agent.save_state()).unwrap();
+        let mut replica: DdpgAgent = DdpgAgent::new(62, 60, DdpgConfig::default());
+        replica.apply_policy(&agent.save_policy()).unwrap();
+        for agent in [&restored, &replica] {
+            let nets = [
+                &agent.actor,
+                &agent.critic,
+                &agent.target_actor,
+                &agent.target_critic,
+            ];
+            for net in nets {
+                assert!(net.layers().iter().all(|l| l.grad_len() == [0, 0]));
+            }
+        }
+    }
+
+    /// [`train_step_holds_gradients_at_the_support`] at
+    /// `train_step_matches_dense_reference_at_fleet_width`'s shape: first
+    /// layers 64 × 294 920 and 64 × 147 458 wide, the support a few
+    /// percent of that.
+    #[test]
+    #[ignore = "fleet-width networks: run with --release -- --ignored"]
+    fn train_step_holds_gradients_at_the_support_at_fleet_width() {
+        train_step_holds_gradients_at_the_support(1152, 128, 9, 12);
+    }
+
     /// `apply_policy` and `restore_state` replace weights the support pack
     /// may already hold: the packed-row primitive must see the new ones.
     #[test]
